@@ -8,6 +8,8 @@
 
 #include "common/bob_hash.h"
 #include "common/hash.h"
+#include "core/top_k_selector.h"
+#include "telemetry/trace.h"
 
 // Hot-path metrics hooks (core/ltc_metrics_sink.h). Compiled only under
 // LTC_METRICS so the zero-metrics build is the exact uninstrumented
@@ -28,8 +30,14 @@ namespace ltc {
 
 std::optional<std::string> LtcConfig::Validate() const {
   if (cells_per_bucket == 0) return "cells_per_bucket must be >= 1";
-  if (std::isnan(alpha) || alpha < 0.0) return "alpha must be >= 0";
-  if (std::isnan(beta) || beta < 0.0) return "beta must be >= 0";
+  // Finite weights only: ∞·0 = NaN on an empty field, and a NaN
+  // significance would read as occupied and break the report order.
+  if (!std::isfinite(alpha) || alpha < 0.0) {
+    return "alpha must be finite and >= 0";
+  }
+  if (!std::isfinite(beta) || beta < 0.0) {
+    return "beta must be finite and >= 0";
+  }
   if (alpha == 0.0 && beta == 0.0) {
     return "alpha and beta cannot both be 0";
   }
@@ -379,34 +387,37 @@ uint64_t Ltc::EstimatePersistency(ItemId item) const {
   return bucket.cell(static_cast<uint32_t>(probe.match)).counter();
 }
 
-namespace {
-
-void SortAndTruncateReports(std::vector<Ltc::Report>* all, size_t k) {
-  std::sort(all->begin(), all->end(),
-            [](const Ltc::Report& a, const Ltc::Report& b) {
-              if (a.significance != b.significance) {
-                return a.significance > b.significance;
-              }
-              return a.item < b.item;
-            });
-  if (all->size() > k) all->resize(k);
+std::vector<Ltc::Report> Ltc::TopK(size_t k) const {
+  return SelectTopK(k, /*pending_mask=*/0);
 }
 
-}  // namespace
+std::vector<Ltc::Report> Ltc::SnapshotTopK(size_t k) const {
+  return SelectTopK(k, config_.deviation_eliminator ? 0x3 : 0x1);
+}
 
-std::vector<Ltc::Report> Ltc::TopK(size_t k) const {
-  std::vector<Report> all;
+std::vector<Ltc::Report> Ltc::SelectTopK(size_t k,
+                                         uint8_t pending_mask) const {
   const size_t m = table_.num_cells();
-  all.reserve(m);
+  telemetry::Span span("core.topk");
+  span.AddAttr("k", k);
+  span.AddAttr("cells", m);
+  TopKSelector top(k, m);
+  const double alpha = config_.alpha;
+  const double beta = config_.beta;
+  double floor = top.Floor();
   for (size_t i = 0; i < m; ++i) {
     ConstCellRef cell = table_.cell(i);
-    if (!IsEmpty(cell)) {
-      all.push_back(
-          {cell.id(), cell.freq(), cell.counter(), SignificanceOf(cell)});
-    }
+    // The mask holds at most the two parity bits, so this is their
+    // popcount without a per-cell library call.
+    const uint32_t pending = cell.flags() & pending_mask;
+    const uint64_t credited =
+        uint64_t{cell.counter()} + (pending & 1) + (pending >> 1);
+    const double sig = alpha * cell.freq() + beta * credited;
+    if (sig < floor || IsEmpty(cell)) continue;
+    top.Offer({cell.id(), cell.freq(), credited, sig});
+    floor = top.Floor();
   }
-  SortAndTruncateReports(&all, k);
-  return all;
+  return std::move(top).Take();
 }
 
 std::vector<Ltc::Report> Ltc::ItemsAbove(double threshold) const {
@@ -420,25 +431,7 @@ std::vector<Ltc::Report> Ltc::ItemsAbove(double threshold) const {
       all.push_back({cell.id(), cell.freq(), cell.counter(), sig});
     }
   }
-  SortAndTruncateReports(&all, all.size());
-  return all;
-}
-
-std::vector<Ltc::Report> Ltc::SnapshotTopK(size_t k) const {
-  const uint8_t pending_mask = config_.deviation_eliminator ? 0x3 : 0x1;
-  std::vector<Report> all;
-  const size_t m = table_.num_cells();
-  all.reserve(m);
-  for (size_t i = 0; i < m; ++i) {
-    ConstCellRef cell = table_.cell(i);
-    if (IsEmpty(cell)) continue;
-    uint64_t credited =
-        cell.counter() + static_cast<uint64_t>(__builtin_popcount(
-                             cell.flags() & pending_mask));
-    all.push_back({cell.id(), cell.freq(), credited,
-                   config_.alpha * cell.freq() + config_.beta * credited});
-  }
-  SortAndTruncateReports(&all, k);
+  std::sort(all.begin(), all.end(), RanksBefore);
   return all;
 }
 

@@ -117,11 +117,11 @@ struct LtcConfig {
   static constexpr size_t BytesPerCell() { return 16; }
 
   /// Checks the configuration for values no table can run on: negative
-  /// α/β (or both zero), zero cells_per_bucket, a non-positive period
-  /// length in the active pacing mode. Returns std::nullopt when valid,
-  /// else a description of the first problem. The Ltc constructor calls
-  /// this and throws std::invalid_argument on failure; Deserialize calls
-  /// it to reject corrupt checkpoints.
+  /// or non-finite α/β (or both zero), zero cells_per_bucket, a
+  /// non-positive period length in the active pacing mode. Returns
+  /// std::nullopt when valid, else a description of the first problem.
+  /// The Ltc constructor calls this and throws std::invalid_argument on
+  /// failure; Deserialize calls it to reject corrupt checkpoints.
   std::optional<std::string> Validate() const;
 };
 
@@ -167,12 +167,15 @@ class Ltc final : public SignificanceEstimator {
   bool IsTracked(ItemId item) const;
 
   /// The k tracked items of largest significance, descending (ties broken
-  /// by item ID for determinism).
+  /// by smaller item ID first). One pass over the m cells through a
+  /// k-entry selector (core/top_k_selector.h), then a sort of the k
+  /// survivors: O(m + k log k), exactly the prefix of a full sort.
   std::vector<Report> TopK(size_t k) const override;
 
   /// Mid-stream top-k WITHOUT mutating the table: reports each cell as if
   /// its pending period flags had already been credited (what Finalize
   /// would produce), so live dashboards don't lag by up to one period.
+  /// Same order and cost as TopK.
   std::vector<Report> SnapshotTopK(size_t k) const;
 
   /// Threshold (φ-heavy-hitter style) query: every tracked item whose
@@ -283,6 +286,10 @@ class Ltc final : public SignificanceEstimator {
   bool IsEmpty(ConstCellRef cell) const {
     return cell.id() == 0 && SignificanceOf(cell) == 0.0;
   }
+
+  /// TopK and SnapshotTopK: each occupied cell is reported with the
+  /// flags in `pending_mask` credited as persistency (0 credits none).
+  std::vector<Report> SelectTopK(size_t k, uint8_t pending_mask) const;
 
   uint8_t CurrentFlagMask() const;
   uint8_t ScanFlagMask() const;

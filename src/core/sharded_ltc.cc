@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "common/hash.h"
+#include "core/top_k_selector.h"
 
 namespace ltc {
 
@@ -55,19 +56,13 @@ void ShardedLtc::Finalize() {
 }
 
 std::vector<Ltc::Report> ShardedLtc::TopK(size_t k) const {
-  std::vector<Ltc::Report> all;
+  // Items are partitioned, so the global k best are among the shards'
+  // own k best.
+  TopKSelector top(k, MemoryBytes() / LtcConfig::BytesPerCell());
   for (const Ltc& shard : shards_) {
-    for (const auto& report : shard.TopK(k)) all.push_back(report);
+    for (const auto& report : shard.TopK(k)) top.Offer(report);
   }
-  std::sort(all.begin(), all.end(),
-            [](const Ltc::Report& a, const Ltc::Report& b) {
-              if (a.significance != b.significance) {
-                return a.significance > b.significance;
-              }
-              return a.item < b.item;
-            });
-  if (all.size() > k) all.resize(k);
-  return all;
+  return std::move(top).Take();
 }
 
 double ShardedLtc::QuerySignificance(ItemId item) const {

@@ -31,6 +31,28 @@ uint64_t NowMicros() {
           .count());
 }
 
+/// The `op` label of ltc_server_request_duration_usec: one series per
+/// cost class, so TOPK latency reads apart from point lookups.
+const char* DurationOpLabel(Opcode opcode) {
+  switch (opcode) {
+    case Opcode::kTopK:
+      return "topk";
+    case Opcode::kEstimateSignificance:
+    case Opcode::kEstimateFrequency:
+    case Opcode::kEstimatePersistency:
+      return "estimate";
+    case Opcode::kPing:
+      return "ping";
+    case Opcode::kStats:
+      return "stats";
+    case Opcode::kPushSketch:
+      return "push";
+    case Opcode::kDumpTrace:
+      return "dump_trace";
+  }
+  return "other";
+}
+
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -69,9 +91,18 @@ void QueryServer::AttachMetrics(telemetry::MetricsRegistry* registry) {
         "ltc_server_errors_total", "Error responses sent, by kind.",
         {{"kind", StatusName(st)}});
   }
-  request_duration_usec_ = &registry->HistogramOf(
-      "ltc_server_request_duration_usec",
-      "Wall time from frame decode to response enqueue, microseconds.");
+  const auto duration_of = [&](const char* op) {
+    return &registry->HistogramOf(
+        "ltc_server_request_duration_usec",
+        "Wall time from frame decode to response enqueue, microseconds, "
+        "by request kind.",
+        {{"op", op}});
+  };
+  duration_by_op_[0] = duration_of("other");
+  for (Opcode op : kOps) {
+    duration_by_op_[static_cast<size_t>(op)] =
+        duration_of(DurationOpLabel(op));
+  }
   connections_total_ = &registry->CounterOf(
       "ltc_server_connections_opened_total", "Client connections accepted.");
   connections_rejected_total_ = &registry->CounterOf(
@@ -200,14 +231,14 @@ void QueryServer::RecordRequest(std::string_view request_payload,
           : static_cast<size_t>(static_cast<uint8_t>(response_payload[0]));
   if (status != 0) errors_.fetch_add(1, std::memory_order_relaxed);
   if (metrics_ == nullptr) return;
-  if (!request_payload.empty()) {
-    const size_t op = static_cast<uint8_t>(request_payload[0]);
-    if (op < 9 && op_counters_[op] != nullptr) op_counters_[op]->Increment();
-  }
+  size_t op =
+      request_payload.empty() ? 0 : static_cast<uint8_t>(request_payload[0]);
+  if (op >= 9) op = 0;  // unknown opcode: counted as op="other"
+  if (op_counters_[op] != nullptr) op_counters_[op]->Increment();
   if (status < 11 && error_counters_[status] != nullptr) {
     error_counters_[status]->Increment();
   }
-  request_duration_usec_->Record(micros);
+  duration_by_op_[op]->Record(micros);
   snapshot_seq_gauge_->Set(static_cast<double>(hub_.PublishedSeq()));
 }
 

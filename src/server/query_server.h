@@ -176,7 +176,9 @@ class QueryServer {
   telemetry::MetricsRegistry* metrics_ = nullptr;
   telemetry::Counter* op_counters_[9] = {};      // index = Opcode value
   telemetry::Counter* error_counters_[11] = {};  // index = Status value
-  telemetry::Histogram* request_duration_usec_ = nullptr;
+  // ltc_server_request_duration_usec{op=...}; index = Opcode value,
+  // with index 0 (no valid opcode) the op="other" series.
+  telemetry::Histogram* duration_by_op_[9] = {};
   telemetry::Counter* connections_total_ = nullptr;
   telemetry::Counter* connections_rejected_total_ = nullptr;
   telemetry::Counter* connections_idle_closed_total_ = nullptr;

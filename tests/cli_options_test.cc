@@ -406,6 +406,8 @@ TEST(CliOptions, Rejections) {
   EXPECT_FALSE(Parse({"--memory", "0", "t"}, &error).has_value());
   EXPECT_FALSE(Parse({"--k", "0", "t"}, &error).has_value());
   EXPECT_FALSE(Parse({"--alpha", "-1", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--alpha", "inf", "t"}, &error).has_value());
+  EXPECT_FALSE(Parse({"--beta", "nan", "t"}, &error).has_value());
   EXPECT_FALSE(Parse({"--bogus", "t"}, &error).has_value());
   EXPECT_FALSE(Parse({"a.csv", "b.csv"}, &error).has_value());
   EXPECT_FALSE(

@@ -3,11 +3,13 @@
 // rule fails by name).
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
 #include <gtest/gtest.h>
 
+#include "common/serial.h"
 #include "core/ltc.h"
 
 namespace ltc {
@@ -63,6 +65,54 @@ TEST(LtcConfigValidate, RejectsNegativeBeta) {
   EXPECT_THROW(Ltc{config}, std::invalid_argument);
   config.beta = std::nan("");
   EXPECT_THROW(Ltc{config}, std::invalid_argument);
+}
+
+TEST(LtcConfigValidate, RejectsInfiniteWeights) {
+  // ∞·0 = NaN: an infinite weight turns every empty cell's significance
+  // into NaN, so an empty table would read as full of item-0 reports.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double weight : {inf, -inf}) {
+    LtcConfig config = ValidCountBased();
+    config.alpha = weight;
+    ASSERT_TRUE(config.Validate().has_value());
+    EXPECT_NE(config.Validate()->find("alpha"), std::string::npos);
+    EXPECT_THROW(Ltc{config}, std::invalid_argument);
+
+    config = ValidTimeBased();
+    config.beta = weight;
+    ASSERT_TRUE(config.Validate().has_value());
+    EXPECT_NE(config.Validate()->find("beta"), std::string::npos);
+    EXPECT_THROW(Ltc{config}, std::invalid_argument);
+  }
+  // The largest finite weight is still a legal (if odd) table.
+  LtcConfig config = ValidCountBased();
+  config.alpha = std::numeric_limits<double>::max();
+  EXPECT_FALSE(config.Validate().has_value());
+}
+
+TEST(LtcConfigValidate, DeserializeRefusesAnImageWithAnInfiniteWeight) {
+  LtcConfig config = ValidCountBased();
+  Ltc table(config);
+  for (ItemId item = 1; item <= 50; ++item) table.Insert(item);
+  BinaryWriter writer;
+  table.Serialize(writer);
+  const std::string clean = writer.data();
+  {
+    BinaryReader reader(clean);
+    ASSERT_TRUE(Ltc::Deserialize(reader).has_value());
+  }
+  // The image starts: magic u32, version u32, memory_bytes u64,
+  // cells_per_bucket u32, then alpha and beta as raw doubles.
+  constexpr size_t kAlphaOffset = 4 + 4 + 8 + 4;
+  BinaryWriter inf_bits;
+  inf_bits.PutDouble(std::numeric_limits<double>::infinity());
+  for (size_t offset : {kAlphaOffset, kAlphaOffset + sizeof(double)}) {
+    std::string image = clean;
+    image.replace(offset, sizeof(double), inf_bits.data());
+    BinaryReader reader(image);
+    EXPECT_FALSE(Ltc::Deserialize(reader).has_value())
+        << "infinite weight at byte " << offset << " was accepted";
+  }
 }
 
 TEST(LtcConfigValidate, RejectsBothWeightsZero) {

@@ -30,6 +30,7 @@
 #include "server/protocol.h"
 #include "server/query_server.h"
 #include "stream/interner.h"
+#include "telemetry/metrics.h"
 
 namespace ltc {
 namespace server {
@@ -655,6 +656,44 @@ TEST_F(QueryServerTest, CountersTrackTraffic) {
   EXPECT_EQ(server_->TotalRequests(), 2u);
   EXPECT_EQ(server_->TotalErrors(), 1u);
   EXPECT_EQ(server_->ConnectionsOpened(), 1u);
+}
+
+TEST(QueryServerMetrics, RequestDurationIsLabelledByRequestKind) {
+  ReadSnapshotHub hub;
+  NumericKeyCodec codec;
+  Ltc table(SmallConfig());
+  for (ItemId item = 1; item <= 10; ++item) table.Insert(item);
+  hub.Publish(std::make_unique<Ltc>(table), 10);
+  telemetry::MetricsRegistry registry;
+  QueryServer server(hub, codec, 0, QueryServerConfig{});
+  server.AttachMetrics(&registry);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  {
+    TestClient client(server.port());
+    ASSERT_TRUE(client.connected());
+    ASSERT_TRUE(client.SendRaw(
+        EncodeFrame(EncodeTopKRequest(3)) +
+        EncodeFrame(EncodeTopKRequest(5)) +
+        EncodeFrame(EncodeEstimateRequest(Opcode::kEstimateFrequency, "4")) +
+        EncodeFrame(
+            EncodeEstimateRequest(Opcode::kEstimateSignificance, "7")) +
+        EncodeFrame(EncodePingRequest()) + EncodeFrame("\xee junk")));
+    for (int i = 0; i < 6; ++i) ASSERT_TRUE(client.RecvPayload().has_value());
+  }
+  server.Stop();
+  const auto count = [&](const char* op) {
+    return registry
+        .HistogramOf("ltc_server_request_duration_usec", "", {{"op", op}})
+        .Count();
+  };
+  EXPECT_EQ(count("topk"), 2u);
+  EXPECT_EQ(count("estimate"), 2u);  // the three ESTIMATE opcodes share one
+  EXPECT_EQ(count("ping"), 1u);
+  EXPECT_EQ(count("other"), 1u);  // the unknown opcode
+  EXPECT_EQ(count("stats"), 0u);
+  EXPECT_EQ(count("push"), 0u);
+  EXPECT_EQ(count("dump_trace"), 0u);
 }
 
 }  // namespace

@@ -201,6 +201,29 @@ TEST(TraceRecorder, DestructionUninstallsItself) {
   EXPECT_EQ(tel::FlightRecorder::active(), nullptr);
 }
 
+TEST(TraceRecorder, CoreTopKRecordsOneSpanPerCall) {
+  LtcConfig config;
+  config.memory_bytes = 4 * 1024;  // 256 cells
+  Ltc table(config);
+  for (ItemId item = 1; item <= 100; ++item) table.Insert(item);
+  FakeClock clock;
+  tel::FlightRecorder recorder(&clock, 16);
+  Installed active(&recorder);
+  EXPECT_EQ(table.TopK(5).size(), 5u);
+  EXPECT_EQ(table.SnapshotTopK(7).size(), 7u);
+  const std::string json = recorder.DumpChromeJson();
+  const std::string name = "\"name\":\"core.topk\"";
+  size_t spans = 0;
+  for (size_t at = json.find(name); at != std::string::npos;
+       at = json.find(name, at + 1)) {
+    ++spans;
+  }
+  EXPECT_EQ(spans, 2u) << json;  // one per call, never one per cell
+  EXPECT_NE(json.find("\"k\":5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"k\":7"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"cells\":256"), std::string::npos) << json;
+}
+
 #endif  // LTC_TRACING
 
 // --- v3 trace-context extension: wire format -------------------------

@@ -11,7 +11,11 @@
 #
 # Doc rows may name several families at once — brace groups expand
 # (`ltc_ingest_{enqueued,dropped}_total` -> two families) and label
-# sets (`{shard=N}`, `{case=tracked\|admitted}`) are stripped.
+# sets (`{shard=N}`, `{case=tracked\|admitted}`) are stripped from the
+# family names. A label set that enumerates its values
+# (`{op=topk\|estimate\|other}`) is also a closed list: a live series
+# whose label holds any other value is undocumented. Sets with a
+# placeholder (`{shard=N}`, `{kind=malformed\|...}`) stay open.
 set -u
 
 DOC="$(dirname "$0")/../docs/TELEMETRY.md"
@@ -125,6 +129,39 @@ for family in $doc_families; do
       "with the CI step that does exercise it)" >&2
     fail=1
   fi
+done
+
+# --- direction 3: label values outside a documented closed list. ------
+closed_sets=$(
+  sed 's/\\|/;/g' "$DOC" \
+    | awk -F'|' '$3 ~ /^[[:space:]]*(counter|gauge|histogram)[[:space:]]*$/ \
+                   {print $2}' \
+    | grep -oE '`ltc_[a-z0-9_]+\{[a-z_]+=[a-z0-9_;]+\}`' \
+    | tr -d '`'
+)
+for set in $closed_sets; do
+  family=${set%%\{*}
+  label=${set#*\{}
+  label=${label%%=*}
+  values=";${set#*=}"
+  values="${values%\}};"
+  live_values=$(
+    for file in "$@"; do
+      grep -E "^${family}(_bucket|_sum|_count)?\{" "$file" \
+        | grep -oE "[{,]${label}=\"[^\"]*\"" \
+        | sed -E 's/^[{,][a-z_]+="(.*)"$/\1/'
+    done | sort -u
+  )
+  for value in $live_values; do
+    case "$values" in
+      *";$value;"*) ;;
+      *)
+        echo "check_metrics_catalog: '$family' series with $label=\"$value\"" \
+          "is emitted but not listed in docs/TELEMETRY.md's catalog" >&2
+        fail=1
+        ;;
+    esac
+  done
 done
 
 if [ "$fail" -eq 0 ]; then

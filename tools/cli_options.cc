@@ -1,5 +1,6 @@
 #include "cli_options.h"
 
+#include <cmath>
 #include <cstdlib>
 
 namespace ltc {
@@ -177,7 +178,9 @@ std::optional<CliOptions> ParseCliOptions(
     } else if (arg == "--alpha" || arg == "--beta" || arg == "--duration") {
       if (!next_value(arg, &value)) return std::nullopt;
       double parsed;
-      if (!ParseDoubleArg(value, &parsed) || parsed < 0) {
+      // strtod accepts "inf" and "nan"; no table can run on either.
+      if (!ParseDoubleArg(value, &parsed) || !std::isfinite(parsed) ||
+          parsed < 0) {
         return fail("bad " + arg + " '" + value + "'");
       }
       if (arg == "--alpha") options.alpha = parsed;

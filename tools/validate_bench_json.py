@@ -16,6 +16,9 @@ import sys
 
 SCHEMA_VERSION = 1
 PROBE_BACKENDS = {"scalar", "sse2", "avx2"}
+# Gate: bench_speed's TopK(100) against one CloneAtBarrier of the same
+# 256 KB table (docs/PERF.md).
+TOPK_CLONE_RATIO = 20
 TIMESTAMP_RE = re.compile(r"^\d{4}-\d{2}-\d{2}T\d{2}:\d{2}:\d{2}Z$")
 
 
@@ -73,6 +76,19 @@ def check_bench_speed(doc, path):
             fail(path, f"sink_guard missing numeric '{field}'")
     if not isinstance(guard.get("sink_compiled"), bool):
         fail(path, "sink_guard missing boolean 'sink_compiled'")
+    topk = require(doc, path, "topk", dict)
+    for field in ("table_bytes", "k", "occupied_cells", "topk_us",
+                  "clone_us"):
+        if not isinstance(topk.get(field), (int, float)):
+            fail(path, f"topk missing numeric '{field}'")
+    if topk["table_bytes"] != 262144 or topk["k"] != 100:
+        fail(path, "topk must time k=100 on the 262144-byte serve table")
+    # One TopK is one pass over the table plus O(k log k); a clone is one
+    # copy of it. A full sort of the table measured 175-310x.
+    if topk["clone_us"] <= 0 or topk["topk_us"] > TOPK_CLONE_RATIO * topk[
+            "clone_us"]:
+        fail(path, f"topk_us {topk['topk_us']} > {TOPK_CLONE_RATIO} x "
+             f"clone_us {topk['clone_us']}")
 
 
 def check_bench_ingest(doc, path):
