@@ -12,6 +12,9 @@
 //    frequency, and toward persistency of the CURRENT period only.
 // See docs/TESTING.md "Time-based edge cases".
 
+#include <cstddef>
+#include <iterator>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -46,6 +49,9 @@ const EdgeCase kEdgeCases[] = {
     {"zero_elapsed_burst",
      {0.0, 0.0, 0.0, 0.0, 0.0},
      5, 1},
+    {"skip_periods_entirely",
+     {0.1, 5.1},  // periods 0 and 5; 1..4 are empty
+     2, 2},
     {"same_instant_mid_period",
      {0.7, 0.7, 0.7},
      3, 1},
@@ -58,9 +64,6 @@ const EdgeCase kEdgeCases[] = {
     {"boundary_then_zero_elapsed",
      {1.0, 1.0, 1.0},
      3, 1},
-    {"skip_periods_entirely",
-     {0.1, 5.1},  // periods 0 and 5; 1..4 are empty
-     2, 2},
     {"regression_clamps_to_latest",
      {2.5, 0.3},  // 0.3 processed as 2.5 — same period, no time travel
      2, 1},
@@ -75,10 +78,7 @@ const EdgeCase kEdgeCases[] = {
      3, 2},
 };
 
-class PeriodEdgeTest : public ::testing::TestWithParam<EdgeCase> {};
-
-TEST_P(PeriodEdgeTest, TableMatchesReferenceRow) {
-  const EdgeCase& edge = GetParam();
+void ExpectTableMatchesRow(const EdgeCase& edge) {
   const ItemId kItem = 7;
   Ltc table(TimeConfig());
   for (double t : edge.times) table.Insert(kItem, t);
@@ -88,8 +88,7 @@ TEST_P(PeriodEdgeTest, TableMatchesReferenceRow) {
   EXPECT_TRUE(table.CheckInvariants());
 }
 
-TEST_P(PeriodEdgeTest, OracleMatchesReferenceRow) {
-  const EdgeCase& edge = GetParam();
+void ExpectOracleMatchesRow(const EdgeCase& edge) {
   const ItemId kItem = 7;
   ExactSignificanceOracle oracle(TimeConfig());
   for (double t : edge.times) oracle.Observe(kItem, t);
@@ -97,8 +96,46 @@ TEST_P(PeriodEdgeTest, OracleMatchesReferenceRow) {
   EXPECT_EQ(oracle.TruePersistency(kItem), edge.persistency);
 }
 
+// gtest lists each Rows/ test with a "# GetParam()" byte dump of its
+// EdgeCase, and ctest takes that dump into the test's id. The dump opens
+// with the address of `name`: its low byte moves whenever this binary's
+// layout or the build path changes, its next byte with ASLR on every
+// run. For the two shortest row names those bytes fall within the first
+// 100 characters of the id, which is where test reports cut long ids, so
+// those ids were unstable. These two rows (kEdgeCases[0..1]) run as plain
+// TESTs with fixed ids; the other rows stay parameterized.
+constexpr size_t kFixedIdRows = 2;
+
+TEST(PeriodEdge, ZeroElapsedBurstTableMatchesReferenceRow) {
+  ExpectTableMatchesRow(kEdgeCases[0]);
+}
+
+TEST(PeriodEdge, ZeroElapsedBurstOracleMatchesReferenceRow) {
+  ExpectOracleMatchesRow(kEdgeCases[0]);
+}
+
+TEST(PeriodEdge, SkipPeriodsEntirelyTableMatchesReferenceRow) {
+  ExpectTableMatchesRow(kEdgeCases[1]);
+}
+
+TEST(PeriodEdge, SkipPeriodsEntirelyOracleMatchesReferenceRow) {
+  ExpectOracleMatchesRow(kEdgeCases[1]);
+}
+
+class PeriodEdgeTest : public ::testing::TestWithParam<EdgeCase> {};
+
+TEST_P(PeriodEdgeTest, TableMatchesReferenceRow) {
+  ExpectTableMatchesRow(GetParam());
+}
+
+TEST_P(PeriodEdgeTest, OracleMatchesReferenceRow) {
+  ExpectOracleMatchesRow(GetParam());
+}
+
 INSTANTIATE_TEST_SUITE_P(
-    Rows, PeriodEdgeTest, ::testing::ValuesIn(kEdgeCases),
+    Rows, PeriodEdgeTest,
+    ::testing::ValuesIn(std::begin(kEdgeCases) + kFixedIdRows,
+                        std::end(kEdgeCases)),
     [](const ::testing::TestParamInfo<EdgeCase>& info) {
       return std::string(info.param.name);
     });
