@@ -392,7 +392,21 @@ std::vector<Ltc::Report> Ltc::TopK(size_t k) const {
 }
 
 std::vector<Ltc::Report> Ltc::SnapshotTopK(size_t k) const {
-  return SelectTopK(k, config_.deviation_eliminator ? 0x3 : 0x1);
+  return SelectTopK(k, PendingMask());
+}
+
+Ltc::Report Ltc::SnapshotQuery(ItemId item) const {
+  Report report{item, 0, 0, 0.0};
+  if (item == 0) return report;
+  ConstBucketView bucket = table_.bucket(BucketOf(item));
+  const BucketProbe probe = bucket.Probe(item);
+  if (probe.match < 0) return report;
+  ConstCellRef cell = bucket.cell(static_cast<uint32_t>(probe.match));
+  report.frequency = cell.freq();
+  report.persistency = CreditedCounter(cell, PendingMask());
+  report.significance =
+      config_.alpha * cell.freq() + config_.beta * report.persistency;
+  return report;
 }
 
 std::vector<Ltc::Report> Ltc::SelectTopK(size_t k,
@@ -407,11 +421,7 @@ std::vector<Ltc::Report> Ltc::SelectTopK(size_t k,
   double floor = top.Floor();
   for (size_t i = 0; i < m; ++i) {
     ConstCellRef cell = table_.cell(i);
-    // The mask holds at most the two parity bits, so this is their
-    // popcount without a per-cell library call.
-    const uint32_t pending = cell.flags() & pending_mask;
-    const uint64_t credited =
-        uint64_t{cell.counter()} + (pending & 1) + (pending >> 1);
+    const uint64_t credited = CreditedCounter(cell, pending_mask);
     const double sig = alpha * cell.freq() + beta * credited;
     if (sig < floor || IsEmpty(cell)) continue;
     top.Offer({cell.id(), cell.freq(), credited, sig});

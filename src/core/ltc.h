@@ -178,6 +178,12 @@ class Ltc final : public SignificanceEstimator {
   /// Same order and cost as TopK.
   std::vector<Report> SnapshotTopK(size_t k) const;
 
+  /// Point query WITHOUT mutating the table: the item's frequency,
+  /// persistency and significance with its pending period flags
+  /// credited, exactly what the point queries answer after Finalize
+  /// (the per-item twin of SnapshotTopK). All zeros when untracked.
+  Report SnapshotQuery(ItemId item) const;
+
   /// Threshold (φ-heavy-hitter style) query: every tracked item whose
   /// significance is at least `threshold`, descending. The one-sided
   /// guarantee carries over: with LTR off, every returned item truly has
@@ -285,6 +291,20 @@ class Ltc final : public SignificanceEstimator {
   }
   bool IsEmpty(ConstCellRef cell) const {
     return cell.id() == 0 && SignificanceOf(cell) == 0.0;
+  }
+
+  /// The flags Finalize would credit: the current period's, plus the
+  /// previous period's when the deviation eliminator keeps it pending.
+  uint8_t PendingMask() const {
+    return config_.deviation_eliminator ? 0x3 : 0x1;
+  }
+
+  /// The cell's persistency with the flags in `pending_mask` credited.
+  static uint64_t CreditedCounter(ConstCellRef cell, uint8_t pending_mask) {
+    // The mask holds at most the two parity bits, so this is their
+    // popcount without a library call.
+    const uint32_t pending = cell.flags() & pending_mask;
+    return uint64_t{cell.counter()} + (pending & 1) + (pending >> 1);
   }
 
   /// TopK and SnapshotTopK: each occupied cell is reported with the

@@ -114,26 +114,23 @@ std::vector<Ltc::Report> WindowedLtc::TopK(size_t k) const {
   return combined.TopK(k);
 }
 
+// Point queries probe the active pane and credit the item's own
+// pending flags (Ltc::SnapshotQuery): the answer a Finalized copy would
+// give, without copying the pane.
 double WindowedLtc::QuerySignificance(ItemId item) const {
-  Ltc snapshot = active_;
-  snapshot.Finalize();
-  double total = snapshot.QuerySignificance(item);
+  double total = active_.SnapshotQuery(item).significance;
   if (previous_live_) total += previous_.QuerySignificance(item);
   return total;
 }
 
 uint64_t WindowedLtc::EstimateFrequency(ItemId item) const {
-  Ltc snapshot = active_;
-  snapshot.Finalize();
-  uint64_t total = snapshot.EstimateFrequency(item);
+  uint64_t total = active_.SnapshotQuery(item).frequency;
   if (previous_live_) total += previous_.EstimateFrequency(item);
   return total;
 }
 
 uint64_t WindowedLtc::EstimatePersistency(ItemId item) const {
-  Ltc snapshot = active_;
-  snapshot.Finalize();
-  uint64_t total = snapshot.EstimatePersistency(item);
+  uint64_t total = active_.SnapshotQuery(item).persistency;
   if (previous_live_) total += previous_.EstimatePersistency(item);
   return total;
 }

@@ -45,9 +45,10 @@ class WindowedLtc final : public SignificanceEstimator {
   void InsertBatch(std::span<const Record> records) override;
 
   /// No-op, kept for the SignificanceEstimator contract: every query
-  /// already finalizes a pane *copy* internally (rotation must keep the
-  /// live panes' pending flags intact), so there is never anything for
-  /// the caller to credit.
+  /// already credits the active pane's pending flags — TopK on a
+  /// finalized pane copy, point queries per item — without touching
+  /// the live pane (rotation must keep its flags intact), so there is
+  /// never anything for the caller to credit.
   void Finalize() override {}
 
   /// Top-k significant items over the covered window (the last
@@ -58,8 +59,9 @@ class WindowedLtc final : public SignificanceEstimator {
   double QuerySignificance(ItemId item) const override;
 
   /// Frequency / persistency of one item over the covered window (0 if
-  /// untracked): the active pane's (pending flags credited on a copy)
-  /// plus the previous pane's — exact, as the panes partition time.
+  /// untracked): the active pane's (its pending flags credited, as
+  /// Ltc::SnapshotQuery does) plus the previous pane's — exact, as the
+  /// panes partition time. O(d), no pane copy.
   uint64_t EstimateFrequency(ItemId item) const override;
   uint64_t EstimatePersistency(ItemId item) const override;
 

@@ -1,6 +1,28 @@
 #include "snapshot/failpoint_fs.h"
 
+#include <algorithm>
+#include <set>
+
 namespace ltc {
+namespace {
+
+// Seeded per-file choice for kPowerLoss: FNV-1a over the file's base
+// name (so the choice does not depend on where the test directory
+// lives), finished with a SplitMix64 step.
+uint64_t PowerLossDraw(uint64_t seed, const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (size_t i = slash == std::string::npos ? 0 : slash + 1;
+       i < path.size(); ++i) {
+    h = (h ^ static_cast<unsigned char>(path[i])) * 0x100000001b3ULL;
+  }
+  uint64_t z = h ^ (seed + 0x9e3779b97f4a7c15ULL);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+  return z ^ (z >> 31);
+}
+
+}  // namespace
 
 void FailpointFs::Arm(Failure failure, uint64_t trigger_op, uint64_t seed,
                       uint64_t burst) {
@@ -10,6 +32,8 @@ void FailpointFs::Arm(Failure failure, uint64_t trigger_op, uint64_t seed,
   burst_left_ = burst < 1 ? 1 : burst;
   fired_ = false;
   crashed_ = false;
+  names_.clear();
+  data_.clear();
 }
 
 bool FailpointFs::Fires(OpKind op) {
@@ -20,6 +44,7 @@ bool FailpointFs::Fires(OpKind op) {
   bool applies = false;
   switch (failure_) {
     case Failure::kCrash:
+    case Failure::kPowerLoss:
       applies = true;  // a crash can land on any mutating op
       break;
     case Failure::kShortWrite:
@@ -41,10 +66,72 @@ bool FailpointFs::Fires(OpKind op) {
   if (!applies) return false;
   fired_ = true;
   --burst_left_;
-  if (failure_ == Failure::kCrash || failure_ == Failure::kTornWriteCrash) {
+  if (failure_ == Failure::kCrash || failure_ == Failure::kTornWriteCrash ||
+      failure_ == Failure::kPowerLoss) {
     crashed_ = true;
   }
   return true;
+}
+
+std::string FailpointFs::DurableBytes(const std::string& path) {
+  auto data = data_.find(path);
+  if (data != data_.end()) return data->second.synced;
+  return base_.ReadAll(path).value_or("");
+}
+
+void FailpointFs::NoteName(const std::string& path) {
+  if (names_.count(path) > 0) return;
+  NameShadow shadow;
+  shadow.existed = base_.Exists(path);
+  if (shadow.existed) shadow.bytes = DurableBytes(path);
+  names_.emplace(path, std::move(shadow));
+}
+
+void FailpointFs::NoteData(const std::string& path, bool truncating) {
+  if (!base_.Exists(path)) NoteName(path);  // this write creates it
+  auto [it, fresh] = data_.try_emplace(path);
+  if (fresh) it->second.synced = base_.ReadAll(path).value_or("");
+  if (truncating) it->second.truncated = true;
+}
+
+void FailpointFs::LosePower() {
+  std::set<std::string> paths;
+  for (const auto& [path, shadow] : names_) paths.insert(path);
+  for (const auto& [path, shadow] : data_) paths.insert(path);
+  for (const std::string& path : paths) {
+    const uint64_t draw = PowerLossDraw(seed_, path);
+    auto name = names_.find(path);
+    // A directory entry not covered by a SyncDir may or may not have
+    // reached the disk, independently of its neighbours. If it did
+    // not, the name points where it did at the last SyncDir, at that
+    // file's synced bytes.
+    if (name != names_.end() && (draw & 2) == 0) {
+      if (name->second.existed) {
+        base_.WriteAll(path, name->second.bytes);
+      } else {
+        base_.Remove(path);
+      }
+      continue;
+    }
+    auto data = data_.find(path);
+    if (data == data_.end()) continue;  // the name change stuck
+    if ((draw & 1) == 0) {
+      base_.WriteAll(path, data->second.synced);
+      continue;
+    }
+    // Part of the new bytes reached the platter. An append-only file
+    // keeps at least its synced bytes; a rewritten one may be cut
+    // anywhere.
+    const std::string now = base_.ReadAll(path).value_or("");
+    const size_t low = data->second.truncated
+                           ? 0
+                           : std::min(data->second.synced.size(), now.size());
+    const size_t keep =
+        low + static_cast<size_t>((draw >> 2) % (now.size() - low + 1));
+    base_.WriteAll(path, std::string_view(now).substr(0, keep));
+  }
+  names_.clear();
+  data_.clear();
 }
 
 bool FailpointFs::FailingWrite(const std::string& path, std::string_view data,
@@ -76,6 +163,10 @@ bool FailpointFs::FailingWrite(const std::string& path, std::string_view data,
       write(corrupted);
       return true;  // silent corruption: the write reports success
     }
+    case Failure::kPowerLoss:
+      write(data);  // the write lands, then the power goes
+      LosePower();
+      return false;
     case Failure::kWriteError:
     default:
       return false;
@@ -87,6 +178,7 @@ bool FailpointFs::WriteAll(const std::string& path, std::string_view data) {
     ++ops_;
     return false;
   }
+  if (Tracking()) NoteData(path, /*truncating=*/true);
   if (!Fires(OpKind::kWrite)) return base_.WriteAll(path, data);
   return FailingWrite(path, data, /*append=*/false);
 }
@@ -96,6 +188,7 @@ bool FailpointFs::AppendAll(const std::string& path, std::string_view data) {
     ++ops_;
     return false;
   }
+  if (Tracking()) NoteData(path, /*truncating=*/false);
   if (!Fires(OpKind::kWrite)) return base_.AppendAll(path, data);
   return FailingWrite(path, data, /*append=*/true);
 }
@@ -109,8 +202,13 @@ bool FailpointFs::Sync(const std::string& path) {
     ++ops_;
     return false;
   }
-  if (Fires(OpKind::kSync)) return false;
-  return base_.Sync(path);
+  if (Fires(OpKind::kSync)) {
+    if (failure_ == Failure::kPowerLoss) LosePower();
+    return false;
+  }
+  if (!base_.Sync(path)) return false;
+  data_.erase(path);
+  return true;
 }
 
 bool FailpointFs::SyncDir(const std::string& path) {
@@ -118,8 +216,15 @@ bool FailpointFs::SyncDir(const std::string& path) {
     ++ops_;
     return false;
   }
-  if (Fires(OpKind::kSync)) return false;
-  return base_.SyncDir(path);
+  if (Fires(OpKind::kSync)) {
+    if (failure_ == Failure::kPowerLoss) LosePower();
+    return false;
+  }
+  if (!base_.SyncDir(path)) return false;
+  std::erase_if(names_, [&](const auto& entry) {
+    return DirnameOf(entry.first) == path;
+  });
+  return true;
 }
 
 bool FailpointFs::Rename(const std::string& from, const std::string& to) {
@@ -127,7 +232,24 @@ bool FailpointFs::Rename(const std::string& from, const std::string& to) {
     ++ops_;
     return false;
   }
-  if (!Fires(OpKind::kRename)) return base_.Rename(from, to);
+  if (Fires(OpKind::kRename)) return FailingRename(from, to);
+  if (Tracking()) {
+    NoteName(from);
+    NoteName(to);
+    // The file moves with its unsynced bytes; whatever `to` named is
+    // now reachable only through its name shadow.
+    auto moved = data_.extract(from);
+    data_.erase(to);
+    if (!moved.empty()) {
+      moved.key() = to;
+      data_.insert(std::move(moved));
+    }
+  }
+  return base_.Rename(from, to);
+}
+
+bool FailpointFs::FailingRename(const std::string& from,
+                                const std::string& to) {
   switch (failure_) {
     case Failure::kTruncateAfterRename: {
       if (!base_.Rename(from, to)) return false;
@@ -138,6 +260,9 @@ bool FailpointFs::Rename(const std::string& from, const std::string& to) {
       }
       return true;  // the rename itself "succeeded"
     }
+    case Failure::kPowerLoss:
+      LosePower();
+      return false;
     case Failure::kCrash:
     case Failure::kRenameError:
     default:
@@ -150,7 +275,14 @@ bool FailpointFs::Remove(const std::string& path) {
     ++ops_;
     return false;
   }
-  if (Fires(OpKind::kRemove)) return false;  // only kCrash lands here
+  if (Fires(OpKind::kRemove)) {  // only kCrash and kPowerLoss land here
+    if (failure_ == Failure::kPowerLoss) LosePower();
+    return false;
+  }
+  if (Tracking()) {
+    NoteName(path);
+    data_.erase(path);
+  }
   return base_.Remove(path);
 }
 

@@ -35,6 +35,21 @@
 //                        the tail record is torn, which pins the
 //                        reader-side contract: a torn tail is clean
 //                        end-of-log, never an error (src/store/wal.h).
+//   kPowerLoss           the machine loses power at the triggering op
+//                        (a write lands first; a sync, rename or remove
+//                        does not). Everything not yet made durable is
+//                        undone: each file written since its last Sync
+//                        reverts to its last synced bytes or, by seed,
+//                        to a torn prefix of its new bytes (never
+//                        shorter than its synced bytes unless it was
+//                        truncated since); each name created, removed
+//                        or renamed since its directory's last SyncDir
+//                        reverts too, or (by seed, name by name) sticks.
+//                        Then the process is dead, like kCrash. Files
+//                        the wrapper has not touched since Arm count as
+//                        durable. Under kCrash every unsynced write
+//                        survives, so a missing Sync passes a kCrash
+//                        sweep; this one catches it.
 //
 // All choices (prefix lengths, flip offsets) derive from the seed, so
 // every injected disaster is reproducible.
@@ -43,6 +58,8 @@
 #define LTC_SNAPSHOT_FAILPOINT_FS_H_
 
 #include <cstdint>
+#include <map>
+#include <string>
 
 #include "snapshot/fs.h"
 
@@ -60,6 +77,7 @@ class FailpointFs final : public Fs {
     kTruncateAfterRename,
     kFlipByteInWrite,
     kTornWriteCrash,
+    kPowerLoss,
   };
 
   /// `base` must outlive this wrapper.
@@ -104,6 +122,29 @@ class FailpointFs final : public Fs {
   bool FailingWrite(const std::string& path, std::string_view data,
                     bool append);
 
+  /// Applies the armed rename failure.
+  bool FailingRename(const std::string& from, const std::string& to);
+
+  // kPowerLoss bookkeeping, kept only while it is armed. A name's entry
+  // records what the name held at its directory's last SyncDir; a
+  // file's entry records its bytes at its last Sync.
+  struct NameShadow {
+    bool existed = false;
+    std::string bytes;  // durable bytes of the file it named
+  };
+  struct DataShadow {
+    std::string synced;
+    bool truncated = false;  // rewritten from offset 0 since the Sync
+  };
+  bool Tracking() const {
+    return failure_ == Failure::kPowerLoss && !crashed_;
+  }
+  std::string DurableBytes(const std::string& path);
+  void NoteName(const std::string& path);
+  void NoteData(const std::string& path, bool truncating);
+  /// Reverts every unsynced effect on the base filesystem.
+  void LosePower();
+
   Fs& base_;
   Failure failure_ = Failure::kNone;
   uint64_t trigger_op_ = 0;
@@ -112,6 +153,8 @@ class FailpointFs final : public Fs {
   uint64_t ops_ = 0;
   bool fired_ = false;
   bool crashed_ = false;
+  std::map<std::string, NameShadow> names_;
+  std::map<std::string, DataShadow> data_;
 };
 
 }  // namespace ltc

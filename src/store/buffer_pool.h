@@ -7,9 +7,9 @@
 // returns; the caller reads or rewrites the payload and must Unpin()
 // (marking it dirty when mutated). A dirty frame evicted by the CLOCK
 // hand is written back through the PageIo seam before it is dropped —
-// its delta is already durable in the WAL by the time it was marked
+// its image is already durable in the WAL by the time it was marked
 // dirty (SketchStore's log-before-dirty rule), so eviction write-back
-// is an optimization for reads, not a durability event.
+// is an optimization for reads, not a durability event: no fsync.
 
 #ifndef LTC_STORE_BUFFER_POOL_H_
 #define LTC_STORE_BUFFER_POOL_H_
@@ -45,7 +45,8 @@ class PageIo {
   virtual std::optional<Loaded> Load(uint64_t tenant, uint32_t page,
                                      std::string* error) = 0;
 
-  /// Durably replaces the page image (atomic write + fsync).
+  /// Replaces the page image in place. Not durable by itself: the
+  /// store's checkpoint fsyncs it later (store/disk_manager.h).
   virtual bool Store(uint64_t tenant, uint32_t page, uint64_t lsn,
                      std::string_view payload, std::string* error) = 0;
 };

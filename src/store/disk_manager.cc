@@ -56,12 +56,45 @@ std::optional<PageIo::Loaded> DiskManager::Load(uint64_t tenant,
 
 bool DiskManager::Store(uint64_t tenant, uint32_t page, uint64_t lsn,
                         std::string_view payload, std::string* error) {
-  return AtomicWriteFile(fs_, PagePath(tenant, page),
-                         EncodePage(page, lsn, payload), error);
+  std::string path = PagePath(tenant, page);
+  if (!dir_unsynced_ && !fs_.Exists(path)) dir_unsynced_ = true;
+  // Listed before the write: even a failed write may change the file.
+  const std::string& listed = *unsynced_.insert(std::move(path)).first;
+  if (!fs_.WriteAll(listed, EncodePage(page, lsn, payload))) {
+    if (error != nullptr) *error = "cannot write page file '" + listed + "'";
+    return false;
+  }
+  return true;
 }
 
-bool DiskManager::RemovePage(uint64_t tenant, uint32_t page) {
-  return fs_.Remove(PagePath(tenant, page));
+void DiskManager::MarkUnsynced(uint64_t tenant, uint32_t page) {
+  unsynced_.insert(PagePath(tenant, page));
+  dir_unsynced_ = true;
+}
+
+bool DiskManager::SyncUnsynced(SyncCounts* counts, std::string* error) {
+  SyncCounts local;
+  SyncCounts& out = counts != nullptr ? *counts : local;
+  out = SyncCounts{};
+  for (const std::string& path : unsynced_) {
+    ++out.files;
+    if (!fs_.Sync(path)) {
+      if (error != nullptr) *error = "cannot fsync page file '" + path + "'";
+      return false;
+    }
+  }
+  if (dir_unsynced_) {
+    ++out.dirs;
+    if (!fs_.SyncDir(dir_)) {
+      if (error != nullptr) {
+        *error = "cannot fsync store directory '" + dir_ + "'";
+      }
+      return false;
+    }
+  }
+  unsynced_.clear();
+  dir_unsynced_ = false;
+  return true;
 }
 
 bool DiskManager::ParsePageName(const std::string& name, uint64_t* tenant,

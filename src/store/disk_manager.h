@@ -1,11 +1,17 @@
 // Page-file I/O for the paged sketch store.
 //
 // One directory holds everything: per-page files named
-// `t<tenant>.p<page>.pg` plus the write-ahead log `wal.log`. Every
-// page write goes through AtomicWriteFile on the Fs seam — a page
-// file is always either its old image or its new image, never a mix —
-// so the only way a page can tear is media corruption, which the page
-// frame's CRCs turn into a typed error (store/page.h).
+// `t<tenant>.p<page>.pg` plus the write-ahead log `wal.log`. A page
+// write is one plain WriteAll in place: no temp file, no fsync, no
+// rename. That is safe because every page image written since the last
+// checkpoint is also in the WAL (the steal/no-force rule of
+// docs/DURABILITY.md "Paged store"): a page a crash tears fails its
+// frame CRCs (store/page.h), and recovery rewrites it from the log.
+//
+// The manager remembers which page files it wrote since the last
+// SyncUnsynced, and whether it created any. A checkpoint makes exactly
+// those durable — one fsync per file, plus one directory fsync when a
+// file is new — before the WAL may be removed.
 
 #ifndef LTC_STORE_DISK_MANAGER_H_
 #define LTC_STORE_DISK_MANAGER_H_
@@ -13,6 +19,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -29,10 +36,29 @@ class DiskManager final : public PageIo {
 
   std::optional<Loaded> Load(uint64_t tenant, uint32_t page,
                              std::string* error) override;
+  /// Writes the page file in place (see file comment) and adds it to
+  /// the unsynced set.
   bool Store(uint64_t tenant, uint32_t page, uint64_t lsn,
              std::string_view payload, std::string* error) override;
 
-  bool RemovePage(uint64_t tenant, uint32_t page);
+  /// Adds a page file whose bytes may not be durable yet, nor its name
+  /// (recovery: a page the WAL names may come from an unsynced write).
+  void MarkUnsynced(uint64_t tenant, uint32_t page);
+
+  struct SyncCounts {
+    uint64_t files = 0;
+    uint64_t dirs = 0;
+  };
+
+  /// fsyncs every page file in the unsynced set, then the directory if
+  /// any of them may be new, and empties the set. Stops at the first
+  /// failure: the caller must fail closed and never retry, since a
+  /// failed fsync may already have dropped the dirty pages it covered.
+  /// `counts` (optional) receives the fsyncs issued, failed one
+  /// included.
+  bool SyncUnsynced(SyncCounts* counts, std::string* error);
+
+  size_t unsynced_count() const { return unsynced_.size(); }
 
   /// Page ids present on disk, per tenant (from a directory scan).
   std::optional<std::map<uint64_t, std::vector<uint32_t>>> ListPages(
@@ -50,6 +76,8 @@ class DiskManager final : public PageIo {
  private:
   Fs& fs_;
   std::string dir_;
+  std::set<std::string> unsynced_;  // page files written since SyncUnsynced
+  bool dir_unsynced_ = false;       // ...and one of them may be new
 };
 
 }  // namespace store

@@ -59,10 +59,9 @@ bool RecoveryManager::Run(RecoveryReport* report, std::string* error) {
   out.torn_tail = walked.torn;
   out.records = walked.records.size();
 
-  // 3. Redo. Later records supersede earlier ones for the same page;
-  // applying in order with the LSN test writes each page at most once
-  // per distinct surviving image, and a mid-replay crash simply
-  // replays the same decisions next open.
+  // 3. Redo. Later records supersede earlier ones for the same page, so
+  // only each page's newest image is considered, and a page is written
+  // at most once.
   std::map<std::pair<uint64_t, uint32_t>, const WalRecord*> newest;
   for (const WalRecord& record : walked.records) {
     out.max_lsn = std::max(out.max_lsn, record.lsn);
@@ -73,9 +72,9 @@ bool RecoveryManager::Run(RecoveryReport* report, std::string* error) {
   for (const auto& [key, record] : newest) {
     const auto& [tenant, page_id] = key;
     auto it = disk_lsn.find(key);
-    const uint64_t on_disk = it == disk_lsn.end() ? 0 : it->second;
-    if (record->lsn <= on_disk && it != disk_lsn.end()) {
+    if (it != disk_lsn.end() && record->lsn <= it->second) {
       ++out.deltas_stale;
+      disk_.MarkUnsynced(tenant, page_id);
       continue;
     }
     const WalPageDelta* delta = nullptr;
@@ -83,28 +82,13 @@ bool RecoveryManager::Run(RecoveryReport* report, std::string* error) {
       if (candidate.page_id == page_id) delta = &candidate;
     }
     if (!disk_.Store(tenant, page_id, record->lsn, delta->payload, error)) {
-      return false;  // WAL kept: the next open retries the replay
+      return false;  // the log is untouched: the next open retries
     }
     ++out.deltas_applied;
     auto& pages = out.tenant_pages[tenant];
     if (std::find(pages.begin(), pages.end(), page_id) == pages.end()) {
       pages.push_back(page_id);
     }
-  }
-
-  // 4. Everything the log said is now durable in the page files;
-  // retire it. A crash before the Remove lands replays harmlessly.
-  if (!disk_.fs().Remove(wal_path)) {
-    if (error != nullptr) {
-      *error = "cannot remove replayed WAL '" + wal_path + "'";
-    }
-    return false;
-  }
-  if (!disk_.fs().SyncDir(disk_.dir())) {
-    if (error != nullptr) {
-      *error = "cannot fsync store directory '" + disk_.dir() + "'";
-    }
-    return false;
   }
   return true;
 }

@@ -5,21 +5,24 @@
 // over the newest page images. The walk:
 //
 //   1. Scan the store directory; decode every page file's frame header
-//      (a corrupt file counts as LSN 0, so any logged delta heals it).
+//      (a corrupt file counts as LSN 0, so any logged image heals it).
 //   2. Read wal.log and parse records front to back, truncating at the
 //      first bad frame — a torn tail is a clean end-of-log, exactly
 //      what a crash mid-append leaves behind.
-//   3. For each record's page deltas (records are whole-Put atomic):
-//      apply the delta when record LSN > the page file's LSN, skip it
-//      as stale otherwise. Applications go through AtomicWriteFile, so
-//      a crash *during replay* just replays again on the next open.
-//   4. Only after every application is durable, delete wal.log and
-//      fsync the directory. A crash between 3 and 4 re-applies
-//      already-applied records; the LSN test makes that a no-op.
+//   3. For each page the log names, take its newest logged image:
+//      rewrite the page file when the file's LSN is older (or its CRC
+//      fails, or it is missing), skip it as stale otherwise. Either
+//      way the page file joins the DiskManager's unsynced set: a stale
+//      page's bytes may come from a write-back that was never fsynced.
 //
-// Run() is idempotent: any prefix of it, killed at any operation, can
-// be re-run to the same final state (tests/store_crash_test.cc sweeps
-// exactly this).
+// Nothing here fsyncs, renames or removes. The log stays: the page
+// files only become durable at the next checkpoint, which syncs the
+// unsynced set and only then removes wal.log. (SketchStore::Open runs
+// that checkpoint at once when the tail was torn, so new appends never
+// follow garbage.) Run() is therefore idempotent by construction: any
+// prefix of it, killed at any operation, leaves the log intact and the
+// next open replays the same decisions (tests/store_crash_test.cc
+// sweeps exactly this).
 
 #ifndef LTC_STORE_RECOVERY_H_
 #define LTC_STORE_RECOVERY_H_
@@ -41,7 +44,7 @@ struct RecoveryReport {
   uint64_t wal_bytes = 0;      // log size before truncation
   uint64_t records = 0;        // intact records replayed
   uint64_t deltas_applied = 0; // page images rewritten from the log
-  uint64_t deltas_stale = 0;   // deltas already reflected on disk
+  uint64_t deltas_stale = 0;   // pages whose file already held the image
   uint64_t corrupt_pages = 0;  // page files that failed frame checks
   uint64_t max_lsn = 0;        // highest LSN on disk or in the log
   /// Pages per tenant after replay (page-id-contiguity NOT yet
@@ -56,7 +59,8 @@ class RecoveryManager {
 
   /// Replays the WAL over the page files (see file comment). False +
   /// `error` only on I/O failure — torn tails and stale records are
-  /// normal outcomes, reported through `report`.
+  /// normal outcomes, reported through `report`. Every page the log
+  /// names is left in `disk`'s unsynced set.
   bool Run(RecoveryReport* report, std::string* error);
 
  private:

@@ -7,6 +7,7 @@
 #include "common/serial.h"
 #include "store/page.h"
 #include "store/wal.h"
+#include "telemetry/trace.h"
 
 namespace ltc {
 namespace store {
@@ -35,8 +36,16 @@ std::unique_ptr<SketchStore> SketchStore::Open(
     return nullptr;
   }
   std::unique_ptr<SketchStore> self(new SketchStore(fs, dir, options));
+  telemetry::Span span("store.recover");
   RecoveryManager recovery(self->disk_);
   if (!recovery.Run(&self->recovery_, error)) return nullptr;
+  span.AddAttr("records", self->recovery_.records);
+  // An intact log stays until the next checkpoint makes the replayed
+  // pages durable. A torn one is retired now, so that no append ever
+  // lands behind its garbage.
+  if (self->recovery_.torn_tail && !self->WriteCheckpoint(error)) {
+    return nullptr;
+  }
   self->next_lsn_ = self->recovery_.max_lsn + 1;
   for (const auto& [tenant, pages] : self->recovery_.tenant_pages) {
     uint32_t max_page = 0;
@@ -49,17 +58,24 @@ std::unique_ptr<SketchStore> SketchStore::Open(
 }
 
 bool SketchStore::Poisoned(std::string* error) const {
-  if (!poisoned_) return false;
+  if (poison_.empty()) return false;
   if (error != nullptr) {
-    *error = "store poisoned: in-memory frames lag the WAL after a failed "
-             "commit; reopen the store to recover";
+    *error = "store poisoned: " + poison_ +
+             "; reopen the store to recover from the WAL";
   }
   return true;
+}
+
+bool SketchStore::Poison(std::string reason, std::string* error) {
+  poison_ = std::move(reason);
+  Poisoned(error);
+  return false;
 }
 
 bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
                       std::string* error) {
   if (Poisoned(error)) return false;
+  telemetry::Span span("store.put");
   BinaryWriter writer;
   sketch.Serialize(writer);
   std::vector<std::string> pages = PageCodec::SplitPayload(
@@ -128,25 +144,23 @@ bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
     record.pages.push_back(std::move(delta));
   }
   const std::string bytes = EncodeWalRecord(record);
+  // Any failure from here on fails closed. A half-written append would
+  // put later records behind garbage that recovery stops at, and a
+  // failed fsync may have dropped the very bytes it covered, so neither
+  // is retried; a reopen replays or truncates the log.
   const std::string wal_path = disk_.WalPath();
   if (!disk_.fs().AppendAll(wal_path, bytes)) {
-    if (error != nullptr) {
-      *error = "cannot append to WAL '" + wal_path + "'";
-    }
-    return false;
+    return Poison("cannot append to WAL '" + wal_path + "'", error);
   }
+  ++stats_.fsyncs_wal;
   if (!disk_.fs().Sync(wal_path)) {
-    if (error != nullptr) {
-      *error = "cannot fsync WAL '" + wal_path + "'";
-    }
-    return false;
+    return Poison("cannot fsync WAL '" + wal_path + "'", error);
   }
   if (!wal_dir_synced_) {
+    ++stats_.fsyncs_dir;
     if (!disk_.fs().SyncDir(disk_.dir())) {
-      if (error != nullptr) {
-        *error = "cannot fsync store directory '" + disk_.dir() + "'";
-      }
-      return false;
+      return Poison("cannot fsync store directory '" + disk_.dir() + "'",
+                    error);
     }
     wal_dir_synced_ = true;
   }
@@ -155,15 +169,13 @@ bool SketchStore::Put(uint64_t tenant, const Ltc& sketch,
   // here cannot lose data, but it can leave memory behind the log:
   // fail closed until a reopen replays it.
   for (uint32_t i : dirty) {
+    std::string cause;
     BufferPool::Frame* frame =
-        pool_->Fetch(tenant, i, /*create_if_absent=*/true, error);
+        pool_->Fetch(tenant, i, /*create_if_absent=*/true, &cause);
     if (frame == nullptr) {
-      poisoned_ = true;
-      if (error != nullptr) {
-        *error = "commit interrupted (" + *error +
-                 "); store poisoned — reopen to recover from the WAL";
-      }
-      return false;
+      return Poison("commit interrupted (" + cause +
+                        "), in-memory frames lag the WAL",
+                    error);
     }
     frame->payload = pages[i];
     frame->lsn = record.lsn;
@@ -228,25 +240,13 @@ bool SketchStore::EvictTenant(uint64_t tenant, std::string* error) {
 
 bool SketchStore::CheckpointDirty(std::string* error) {
   if (Poisoned(error)) return false;
+  telemetry::Span span("store.checkpoint");
   const auto start = std::chrono::steady_clock::now();
   const size_t dirty_pages = pool_->dirty_count();
-  if (!pool_->FlushDirty(error)) return false;
-  // Every logged delta is now in a durable page file; retire the log.
-  const std::string wal_path = disk_.WalPath();
-  if (disk_.fs().Exists(wal_path)) {
-    if (!disk_.fs().Remove(wal_path)) {
-      if (error != nullptr) {
-        *error = "cannot remove checkpointed WAL '" + wal_path + "'";
-      }
-      return false;
-    }
-    if (!disk_.fs().SyncDir(disk_.dir())) {
-      if (error != nullptr) {
-        *error = "cannot fsync store directory '" + disk_.dir() + "'";
-      }
-      return false;
-    }
-    wal_dir_synced_ = false;
+  span.AddAttr("pages", dirty_pages);
+  if (!WriteCheckpoint(error)) {
+    PublishMetrics();
+    return false;
   }
   ++stats_.checkpoints;
   if (checkpoints_ != nullptr) {
@@ -260,6 +260,32 @@ bool SketchStore::CheckpointDirty(std::string* error) {
     checkpoint_dirty_pages_->Record(dirty_pages);
   }
   PublishMetrics();
+  return true;
+}
+
+bool SketchStore::WriteCheckpoint(std::string* error) {
+  if (!pool_->FlushDirty(error)) return false;
+  // Every page image written since the last checkpoint becomes durable,
+  // names included, before the log that backs it may go.
+  DiskManager::SyncCounts synced;
+  std::string sync_error;
+  const bool synced_ok = disk_.SyncUnsynced(&synced, &sync_error);
+  stats_.fsyncs_page += synced.files;
+  stats_.fsyncs_dir += synced.dirs;
+  if (!synced_ok) return Poison(sync_error, error);
+  const std::string wal_path = disk_.WalPath();
+  if (disk_.fs().Exists(wal_path)) {
+    if (!disk_.fs().Remove(wal_path)) {
+      if (error != nullptr) {
+        *error = "cannot remove checkpointed WAL '" + wal_path + "'";
+      }
+      return false;
+    }
+    // No directory fsync for the removal: if it is undone, the old log
+    // comes back with nothing newer than the synced pages, and the next
+    // Put's directory fsync makes it final anyway.
+    wal_dir_synced_ = false;
+  }
   return true;
 }
 
@@ -281,6 +307,7 @@ void SketchStore::AttachMetrics(telemetry::MetricsRegistry* registry) {
     pages_in_ = pages_out_ = page_hits_ = page_misses_ = nullptr;
     evictions_clean_ = evictions_dirty_ = nullptr;
     wal_records_ = wal_bytes_ = checkpoints_ = nullptr;
+    fsyncs_wal_ = fsyncs_page_ = fsyncs_dir_ = nullptr;
     tenants_gauge_ = frames_resident_ = frames_dirty_ = nullptr;
     checkpoint_duration_usec_ = checkpoint_dirty_pages_ = nullptr;
     return;
@@ -313,7 +340,15 @@ void SketchStore::AttachMetrics(telemetry::MetricsRegistry* registry) {
       "Bytes appended to the write-ahead log");
   checkpoints_ = &registry->CounterOf(
       "ltc_store_checkpoints_total",
-      "CheckpointDirty calls that flushed and truncated the WAL");
+      "CheckpointDirty calls that flushed, synced and removed the WAL");
+  const char* fsyncs_help =
+      "fsyncs the store asked for, by what they make durable";
+  fsyncs_wal_ = &registry->CounterOf("ltc_store_fsyncs_total", fsyncs_help,
+                                     {{"kind", "wal"}});
+  fsyncs_page_ = &registry->CounterOf("ltc_store_fsyncs_total", fsyncs_help,
+                                      {{"kind", "page"}});
+  fsyncs_dir_ = &registry->CounterOf("ltc_store_fsyncs_total", fsyncs_help,
+                                     {{"kind", "dir"}});
   const char* replay_help =
       "WAL page deltas at the last Open, by replay outcome";
   registry
@@ -342,7 +377,7 @@ void SketchStore::AttachMetrics(telemetry::MetricsRegistry* registry) {
       "Resident frames owing a write-back");
   checkpoint_duration_usec_ = &registry->HistogramOf(
       "ltc_store_checkpoint_duration_usec",
-      "Latency of incremental checkpoints (flush dirty + truncate WAL) "
+      "Latency of incremental checkpoints (flush dirty, fsync, remove WAL) "
       "in microseconds");
   checkpoint_dirty_pages_ = &registry->HistogramOf(
       "ltc_store_checkpoint_dirty_pages",
@@ -359,6 +394,9 @@ void SketchStore::PublishMetrics() {
   page_misses_->SetFromSample(pool_stats.misses);
   evictions_clean_->SetFromSample(pool_stats.evictions_clean);
   evictions_dirty_->SetFromSample(pool_stats.evictions_dirty);
+  fsyncs_wal_->SetFromSample(stats_.fsyncs_wal);
+  fsyncs_page_->SetFromSample(stats_.fsyncs_page);
+  fsyncs_dir_->SetFromSample(stats_.fsyncs_dir);
   tenants_gauge_->Set(static_cast<double>(tenant_pages_.size()));
   frames_resident_->Set(static_cast<double>(pool_->resident()));
   frames_dirty_->Set(static_cast<double>(pool_->dirty_count()));

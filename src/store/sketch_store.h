@@ -1,6 +1,6 @@
 // SketchStore — the front door of the crash-safe, larger-than-RAM,
-// multi-tenant sketch store (ROADMAP item 4; docs/DURABILITY.md "Paged
-// store, WAL, and incremental checkpoints").
+// multi-tenant sketch store (docs/DURABILITY.md "Paged store, WAL, and
+// incremental checkpoints").
 //
 // One store directory hosts N independent tenant sketches (numeric
 // tenant ids — per-customer / per-API-key sketch families). Each
@@ -9,21 +9,24 @@
 // total sketch bytes can exceed RAM: cold tenants' pages spill to
 // disk and page back in on demand, bit-identically.
 //
-// Durability contract — the log-before-dirty rule:
+// Durability contract — steal, no force, full page images:
 //
 //   Put() serializes the sketch, splits it into pages, and diffs them
 //   against the resident/on-disk images. The changed pages are
-//   appended to the WAL as ONE record and fsynced BEFORE any in-memory
-//   frame is updated or marked dirty. Page-file write-back (eviction,
-//   CheckpointDirty) therefore never persists bytes the log does not
-//   already carry, and a kill at ANY operation recovers every tenant
-//   to either its pre-Put or post-Put image — never a mix
-//   (tests/store_crash_test.cc sweeps every kill point).
+//   appended to the WAL as ONE record of full page images and fsynced
+//   BEFORE any in-memory frame is updated or marked dirty. So every
+//   page image written since the last checkpoint is in the log, and
+//   page-file write-back (eviction, EvictTenant, CheckpointDirty) is a
+//   plain in-place write with no fsync: a crash that tears or loses it
+//   is redone from the log. A kill or power loss at ANY operation
+//   recovers every tenant to either its pre-Put or post-Put image —
+//   never a mix (tests/store_crash_test.cc sweeps every op).
 //
-// CheckpointDirty() write-backs only dirty frames and then truncates
-// the WAL: O(dirty) instead of the monolithic snapshot's O(table)
-// (bench_ingest "incremental vs monolithic" section measures this).
-
+// CheckpointDirty() writes back only dirty frames, fsyncs each page
+// file written since the last checkpoint once (plus the directory when
+// a file is new), and only then removes the WAL: O(dirty), not the
+// monolithic snapshot's O(table). A failed fsync poisons the store; it
+// is never retried.
 #ifndef LTC_STORE_SKETCH_STORE_H_
 #define LTC_STORE_SKETCH_STORE_H_
 
@@ -63,11 +66,16 @@ class SketchStore {
     uint64_t wal_bytes = 0;
     uint64_t checkpoints = 0;
     uint64_t clean_puts = 0;  // Puts that changed no page (no log write)
+    // fsyncs asked for, by what they cover (failed ones included).
+    uint64_t fsyncs_wal = 0;
+    uint64_t fsyncs_page = 0;
+    uint64_t fsyncs_dir = 0;
   };
 
   /// Opens (and crash-recovers) the store in `dir`, which must exist.
   /// Replays the WAL over the page files first — see store/recovery.h.
-  /// nullptr + `error` on I/O failure.
+  /// An intact log is kept for the next checkpoint; a torn one is
+  /// checkpointed away here. nullptr + `error` on I/O failure.
   static std::unique_ptr<SketchStore> Open(Fs& fs, const std::string& dir,
                                            const SketchStoreOptions& options,
                                            std::string* error);
@@ -82,12 +90,14 @@ class SketchStore {
   /// pages, or a payload Deserialize rejects.
   std::optional<Ltc> Get(uint64_t tenant, std::string* error);
 
-  /// Writes back the tenant's dirty frames and drops all its frames —
-  /// the explicit make-this-tenant-cold hammer.
+  /// Writes back the tenant's dirty frames (no fsync) and drops all its
+  /// frames — the explicit make-this-tenant-cold hammer.
   bool EvictTenant(uint64_t tenant, std::string* error);
 
-  /// Incremental checkpoint: write back every dirty frame, then
-  /// truncate the WAL. O(dirty), not O(table).
+  /// Incremental checkpoint: write back every dirty frame, fsync each
+  /// page file written since the last checkpoint, then remove the WAL.
+  /// O(dirty), not O(table). A failed fsync poisons the store and keeps
+  /// the WAL.
   bool CheckpointDirty(std::string* error);
 
   bool Contains(uint64_t tenant) const {
@@ -108,9 +118,15 @@ class SketchStore {
   SketchStore(Fs& fs, const std::string& dir,
               const SketchStoreOptions& options);
 
-  /// Sets `error` and returns true when a partially-applied commit
-  /// left memory behind the WAL (reopen to recover).
+  /// Sets `error` and returns true once the store has failed closed
+  /// (reopen to recover from the WAL).
   bool Poisoned(std::string* error) const;
+
+  /// Fails the store closed for `reason`; sets `error`, returns false.
+  bool Poison(std::string reason, std::string* error);
+
+  /// CheckpointDirty without the stats: flush, sync, remove the WAL.
+  bool WriteCheckpoint(std::string* error);
 
   /// Mirrors pool counters/gauges into the registry (if attached).
   void PublishMetrics();
@@ -122,7 +138,7 @@ class SketchStore {
   RecoveryReport recovery_;
   uint64_t next_lsn_ = 1;
   bool wal_dir_synced_ = false;  // wal.log's dirent made durable yet?
-  bool poisoned_ = false;
+  std::string poison_;           // why the store failed closed, if it did
   Stats stats_;
 
   telemetry::MetricsRegistry* metrics_ = nullptr;
@@ -135,6 +151,9 @@ class SketchStore {
   telemetry::Counter* wal_records_ = nullptr;
   telemetry::Counter* wal_bytes_ = nullptr;
   telemetry::Counter* checkpoints_ = nullptr;
+  telemetry::Counter* fsyncs_wal_ = nullptr;
+  telemetry::Counter* fsyncs_page_ = nullptr;
+  telemetry::Counter* fsyncs_dir_ = nullptr;
   telemetry::Gauge* tenants_gauge_ = nullptr;
   telemetry::Gauge* frames_resident_ = nullptr;
   telemetry::Gauge* frames_dirty_ = nullptr;

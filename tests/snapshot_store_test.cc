@@ -251,5 +251,50 @@ TEST_F(SnapshotStoreTest, AtomicWriteFileReplacesOrPreserves) {
   EXPECT_EQ(SystemFs().ReadAll(path), "new contents");
 }
 
+TEST_F(SnapshotStoreTest, PowerLossUndoesOnlyWhatWasNotMadeDurable) {
+  const std::string synced = (dir_ / "synced.bin").string();
+  const std::string loose = (dir_ / "loose.bin").string();
+  for (uint64_t seed = 0; seed < 16; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    std::filesystem::remove(synced);
+    ASSERT_TRUE(SystemFs().WriteAll(loose, "old"));  // durable: pre-Arm
+    FailpointFs fs(SystemFs());
+    fs.Arm(FailpointFs::Failure::kPowerLoss, /*trigger_op=*/4, seed);
+    ASSERT_TRUE(fs.WriteAll(synced, "kept"));
+    ASSERT_TRUE(fs.Sync(synced));
+    ASSERT_TRUE(fs.SyncDir(dir_.string()));
+    ASSERT_TRUE(fs.WriteAll(loose, "new bytes"));
+    EXPECT_FALSE(fs.Sync(loose));  // the power goes before this fsync
+    EXPECT_TRUE(fs.crashed());
+    EXPECT_EQ(SystemFs().ReadAll(synced), "kept");
+    const std::string after = SystemFs().ReadAll(loose).value_or("<gone>");
+    EXPECT_TRUE(after == "old" ||
+                std::string_view("new bytes").substr(0, after.size()) ==
+                    after)
+        << after;
+  }
+}
+
+TEST_F(SnapshotStoreTest, AtomicWriteFileSurvivesPowerLossAtEveryOp) {
+  // Temp write, fsync, rename, directory fsync: cut the power at each,
+  // and the file holds the old bytes or the new ones, never a mix.
+  const std::string path = (dir_ / "file.bin").string();
+  for (uint64_t kill_at = 0; kill_at < 4; ++kill_at) {
+    for (uint64_t seed = 0; seed < 8; ++seed) {
+      SCOPED_TRACE("kill_at=" + std::to_string(kill_at) +
+                   " seed=" + std::to_string(seed));
+      std::filesystem::remove(path + ".tmp");
+      ASSERT_TRUE(AtomicWriteFile(SystemFs(), path, "old contents"));
+      FailpointFs fs(SystemFs());
+      fs.Arm(FailpointFs::Failure::kPowerLoss, kill_at, seed);
+      EXPECT_FALSE(AtomicWriteFile(fs, path, "new contents"));
+      const auto after = SystemFs().ReadAll(path);
+      ASSERT_TRUE(after.has_value());
+      EXPECT_TRUE(*after == "old contents" || *after == "new contents")
+          << *after;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ltc

@@ -1,13 +1,18 @@
-// The fault-injected proof for the paged sketch store (ISSUE 10 (d)):
-// a deterministic kill at EVERY mutating filesystem operation — WAL
+// The fault-injected proof for the paged sketch store: a
+// deterministic kill at EVERY mutating filesystem operation — WAL
 // appends, page write-backs, budget-pressure evictions, checkpoint
-// truncation, and WAL replay itself — after which reopening the store
-// must recover every tenant's sketch bit-identical to the sequential
-// oracle: the last acked Put, or the in-flight Put for the one tenant
-// whose update the crash interrupted. Never a mix, never a loss.
+// syncs and truncation, and WAL replay itself — after which reopening
+// the store must recover every tenant's sketch bit-identical to the
+// sequential oracle: the last acked Put, or the in-flight Put for the
+// one tenant whose update the crash interrupted. Never a mix, never a
+// loss. Three fault shapes: a process kill (kCrash: unsynced writes
+// survive), a torn write (kTornWriteCrash), and a power loss
+// (kPowerLoss: everything not fsynced is undone), which is the one
+// that proves each page fsync a checkpoint issues is needed.
 
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -38,6 +43,11 @@ SketchStoreOptions TinyOptions() {
   options.mem_budget_bytes = 64 * 4;
   return options;
 }
+
+// kPowerLoss draws, per file name and seed, whether an undurable name
+// change sticks and whether unsynced bytes revert or tear. These seeds
+// give wal.log all four outcomes.
+constexpr uint64_t kPowerLossSeeds[] = {0, 1, 3, 12};
 
 std::string SerializedBytes(const Ltc& sketch) {
   BinaryWriter writer;
@@ -156,6 +166,34 @@ class StoreCrashTest : public ::testing::Test {
     EXPECT_EQ(SerializedBytes(*back), SerializedBytes(fresh));
   }
 
+  // Two tenants, two rounds of Puts through `fs` and no checkpoint, with
+  // tenant 0's pages written back after round 0: a replay then meets
+  // both stale images (already in the page files) and fresh ones
+  // (WAL-only).
+  void BuildUncheckpointedState(Fs& fs,
+                                std::map<uint64_t, std::string>* oracle) {
+    ResetDir();
+    std::string error;
+    auto store = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    std::map<uint64_t, Ltc> sketches;
+    for (uint64_t t = 0; t < 2; ++t) sketches.emplace(t, Ltc(TinyConfig()));
+    for (int round = 0; round < 2; ++round) {
+      for (uint64_t t = 0; t < 2; ++t) {
+        for (int i = 0; i < 15; ++i) {
+          sketches.at(t).Insert(10 * t + i % 4 + 1);
+        }
+        ASSERT_TRUE(store->Put(t, sketches.at(t), &error)) << error;
+      }
+      if (round == 0) {
+        ASSERT_TRUE(store->EvictTenant(0, &error)) << error;
+      }
+    }
+    for (uint64_t t = 0; t < 2; ++t) {
+      (*oracle)[t] = SerializedBytes(sketches.at(t));
+    }
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -211,44 +249,45 @@ TEST_F(StoreCrashTest, TornWriteAtEveryWriteRecoversBitIdentical) {
   }
 }
 
+TEST_F(StoreCrashTest, PowerLossAtEveryOpRecoversBitIdentical) {
+  // Page write-backs are plain writes with no fsync until the next
+  // checkpoint, so here every unsynced page image (and every name not
+  // yet covered by a directory fsync) is lost or torn at the cut.
+  uint64_t ops_total = 0;
+  {
+    FailpointFs fs(SystemFs());
+    WorkloadResult rehearsal;
+    ASSERT_TRUE(RunWorkload(fs, dir_.string(), &rehearsal));
+    ops_total = fs.mutating_ops();
+  }
+  ASSERT_GT(ops_total, 40u) << "workload too small to be a proof";
+
+  for (uint64_t kill_at = 0; kill_at < ops_total; ++kill_at) {
+    for (uint64_t seed : kPowerLossSeeds) {
+      ResetDir();
+      FailpointFs fs(SystemFs());
+      fs.Arm(FailpointFs::Failure::kPowerLoss, kill_at, seed);
+      WorkloadResult result;
+      EXPECT_FALSE(RunWorkload(fs, dir_.string(), &result))
+          << "kill_at=" << kill_at << " did not stop the run";
+      ASSERT_TRUE(fs.crashed());
+      VerifyRecovery(result, kill_at, seed);
+    }
+  }
+}
+
 TEST_F(StoreCrashTest, KillDuringReplayIsIdempotent) {
   // Crash recovery itself at every op: build a state whose WAL still
-  // holds un-checkpointed deltas, kill the replaying Open at op k, and
+  // holds un-checkpointed images, kill the replaying Open at op k, and
   // demand a clean reopen land on the oracle regardless of how far the
-  // interrupted replay got. AtomicWriteFile page application plus the
-  // LSN test make replay idempotent; this sweep is the proof.
-  auto build_state = [&](std::map<uint64_t, std::string>* oracle) {
-    ResetDir();
-    std::string error;
-    auto store = SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(),
-                                   &error);
-    ASSERT_NE(store, nullptr) << error;
-    std::map<uint64_t, Ltc> sketches;
-    for (uint64_t t = 0; t < 2; ++t) sketches.emplace(t, Ltc(TinyConfig()));
-    for (int round = 0; round < 2; ++round) {
-      for (uint64_t t = 0; t < 2; ++t) {
-        for (int i = 0; i < 15; ++i) {
-          sketches.at(t).Insert(10 * t + i % 4 + 1);
-        }
-        ASSERT_TRUE(store->Put(t, sketches.at(t), &error)) << error;
-      }
-      // Write tenant 0's pages back mid-history so replay sees BOTH
-      // stale deltas (already on disk) and fresh ones (WAL-only).
-      if (round == 0) {
-        ASSERT_TRUE(store->EvictTenant(0, &error)) << error;
-      }
-    }
-    // No checkpoint: the WAL is the only durable copy of round 1.
-    for (uint64_t t = 0; t < 2; ++t) {
-      (*oracle)[t] = SerializedBytes(sketches.at(t));
-    }
-  };
-
+  // interrupted replay got. Replay only writes page files and never
+  // touches the log, and the LSN test skips what is already there, so
+  // a rerun makes the same decisions; this sweep is the proof.
   uint64_t kill_at = 0;
   while (true) {
     SCOPED_TRACE("replay kill_at=" + std::to_string(kill_at));
     std::map<uint64_t, std::string> oracle;
-    build_state(&oracle);
+    BuildUncheckpointedState(SystemFs(), &oracle);
     ASSERT_FALSE(oracle.empty());
 
     FailpointFs fs(SystemFs());
@@ -272,6 +311,66 @@ TEST_F(StoreCrashTest, KillDuringReplayIsIdempotent) {
     ++kill_at;
   }
   EXPECT_GT(kill_at, 0u) << "replay performed no mutating ops to kill";
+}
+
+TEST_F(StoreCrashTest, PowerLossAfterKillDuringReplayAndCheckpoint) {
+  // One process writes the state and dies without a checkpoint, so its
+  // page write-backs sit unsynced in the page cache. The next process
+  // replays, checkpoints and Puts once more, and the power fails at any
+  // op of it: every page the log names, stale or replayed, must be
+  // fsynced before the log goes. The FailpointFs spans both processes,
+  // so it knows which bytes the first one never synced.
+  uint64_t build_ops = 0;
+  {
+    FailpointFs fs(SystemFs());
+    std::map<uint64_t, std::string> oracle;
+    BuildUncheckpointedState(fs, &oracle);
+    build_ops = fs.mutating_ops();
+  }
+  for (uint64_t seed : kPowerLossSeeds) {
+    uint64_t kill_at = 0;
+    while (true) {
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " kill_at=" + std::to_string(kill_at));
+      FailpointFs fs(SystemFs());
+      fs.Arm(FailpointFs::Failure::kPowerLoss, build_ops + kill_at, seed);
+      std::map<uint64_t, std::string> oracle;
+      BuildUncheckpointedState(fs, &oracle);
+      ASSERT_FALSE(fs.fired());
+
+      std::string error;
+      std::optional<std::string> pending;  // tenant 0's next image
+      bool acked = false;
+      auto next = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+      if (next != nullptr && next->CheckpointDirty(&error)) {
+        auto sketch = next->Get(0, &error);
+        ASSERT_TRUE(sketch.has_value()) << error;
+        sketch->Insert(77);
+        pending = SerializedBytes(*sketch);
+        acked = next->Put(0, *sketch, &error);
+      }
+      const bool fired = fs.fired();
+      next.reset();
+
+      auto recovered = SketchStore::Open(SystemFs(), dir_.string(),
+                                         TinyOptions(), &error);
+      ASSERT_NE(recovered, nullptr) << error;
+      for (const auto& [tenant, bytes] : oracle) {
+        auto got = recovered->Get(tenant, &error);
+        ASSERT_TRUE(got.has_value()) << "tenant " << tenant << ": " << error;
+        const std::string got_bytes = SerializedBytes(*got);
+        if (tenant == 0 && pending.has_value() &&
+            (acked || got_bytes == *pending)) {
+          EXPECT_EQ(got_bytes, *pending) << "tenant 0 lost its acked Put";
+        } else {
+          EXPECT_EQ(got_bytes, bytes) << "tenant " << tenant;
+        }
+      }
+      if (!fired) break;
+      ++kill_at;
+    }
+    EXPECT_GT(kill_at, 2u) << "replay and checkpoint did too little";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // bytes answers queries bit-identically to an unconstrained run.
 
 #include <filesystem>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,6 +23,7 @@
 #include "store/wal.h"
 #include "telemetry/exposition.h"
 #include "telemetry/metrics.h"
+#include "telemetry/trace.h"
 
 namespace ltc {
 namespace store {
@@ -48,6 +50,73 @@ Ltc SketchWithItems(const LtcConfig& config, uint64_t first, uint64_t count) {
   }
   return sketch;
 }
+
+// Four cells in one bucket: 5 pages at page_bytes=64 (header + one
+// page per lane), so a 4-frame budget evicts on every Put.
+LtcConfig TinyConfig() {
+  LtcConfig config;
+  config.memory_bytes = LtcConfig::BytesPerCell() * 4;
+  config.cells_per_bucket = 4;
+  config.items_per_period = 50;
+  return config;
+}
+
+SketchStoreOptions TinyOptions() {
+  SketchStoreOptions options;
+  options.page_bytes = 64;
+  options.mem_budget_bytes = 64 * 4;
+  return options;
+}
+
+constexpr uint32_t kTinyPages = 5;
+
+// The real filesystem, counting the fsyncs asked of it, per path.
+class CountingFs final : public Fs {
+ public:
+  std::map<std::string, int> syncs;  // file fsyncs by path
+  int dir_syncs = 0;
+
+  int TotalSyncs() const {
+    int total = 0;
+    for (const auto& [path, n] : syncs) total += n;
+    return total;
+  }
+  void Reset() {
+    syncs.clear();
+    dir_syncs = 0;
+  }
+
+  bool WriteAll(const std::string& path, std::string_view data) override {
+    return SystemFs().WriteAll(path, data);
+  }
+  bool AppendAll(const std::string& path, std::string_view data) override {
+    return SystemFs().AppendAll(path, data);
+  }
+  std::optional<std::string> ReadAll(const std::string& path) override {
+    return SystemFs().ReadAll(path);
+  }
+  bool Sync(const std::string& path) override {
+    ++syncs[path];
+    return SystemFs().Sync(path);
+  }
+  bool SyncDir(const std::string& path) override {
+    ++dir_syncs;
+    return SystemFs().SyncDir(path);
+  }
+  bool Rename(const std::string& from, const std::string& to) override {
+    return SystemFs().Rename(from, to);
+  }
+  bool Remove(const std::string& path) override {
+    return SystemFs().Remove(path);
+  }
+  bool Exists(const std::string& path) override {
+    return SystemFs().Exists(path);
+  }
+  std::optional<std::vector<std::string>> ListDir(
+      const std::string& dir) override {
+    return SystemFs().ListDir(dir);
+  }
+};
 
 class StoreTest : public ::testing::Test {
  protected:
@@ -447,6 +516,239 @@ TEST_F(StoreTest, RecoveryHealsFlippedPageFileFromWal) {
   EXPECT_EQ(SerializedBytes(*back), SerializedBytes(sketch));
 }
 
+// ------------------------------------------------------------ fsync gate
+//
+// Steal without force: page write-backs never fsync; a checkpoint
+// fsyncs each page file written since the last one exactly once; a
+// reopen fsyncs nothing. The counts are deterministic, so they are
+// asserted exactly.
+
+TEST_F(StoreTest, PutThatEvictsDirtyFramesSyncsOnlyTheWal) {
+  CountingFs fs;
+  std::string error;
+  auto store = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(store, nullptr) << error;
+  EXPECT_EQ(fs.TotalSyncs() + fs.dir_syncs, 0) << "an empty open synced";
+  ASSERT_TRUE(store->Put(0, SketchWithItems(TinyConfig(), 1, 40), &error))
+      << error;
+  // The first append also makes wal.log's directory entry durable.
+  EXPECT_EQ(fs.TotalSyncs(), 1);
+  EXPECT_EQ(fs.dir_syncs, 1);
+
+  fs.Reset();
+  const uint64_t dirty_before = store->pool().stats().evictions_dirty;
+  ASSERT_TRUE(store->Put(1, SketchWithItems(TinyConfig(), 50, 40), &error))
+      << error;
+  EXPECT_GE(store->pool().stats().evictions_dirty - dirty_before, 4u)
+      << "tenant 1's Put should have evicted tenant 0's dirty frames";
+  EXPECT_EQ(fs.TotalSyncs(), 1);
+  EXPECT_EQ(fs.syncs[(dir_ / "wal.log").string()], 1);
+  EXPECT_EQ(fs.dir_syncs, 0);
+  EXPECT_EQ(store->stats().fsyncs_wal, 2u);
+  EXPECT_EQ(store->stats().fsyncs_page, 0u);
+}
+
+TEST_F(StoreTest, CheckpointSyncsEachWrittenPageFileOnce) {
+  CountingFs fs;
+  std::string error;
+  auto store = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(store, nullptr) << error;
+  std::vector<Ltc> sketches;
+  for (uint64_t t = 0; t < 3; ++t) {
+    sketches.push_back(SketchWithItems(TinyConfig(), 10 * t + 1, 30));
+    ASSERT_TRUE(store->Put(t, sketches[t], &error)) << error;
+  }
+
+  // Interval 1: 15 new page files, some written by eviction, the rest
+  // by the checkpoint's own flush. Each is fsynced once, then the
+  // directory once, because they are new.
+  fs.Reset();
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  EXPECT_EQ(fs.syncs.size(), 3 * kTinyPages);
+  EXPECT_EQ(fs.TotalSyncs(), static_cast<int>(3 * kTinyPages));
+  EXPECT_EQ(fs.dir_syncs, 1);
+  EXPECT_FALSE(fs.Exists((dir_ / "wal.log").string()));
+
+  // Interval 2: tenant 0 changes some pages of files that exist.
+  const std::string before = SerializedBytes(sketches[0]);
+  sketches[0].Insert(999);
+  const std::string after = SerializedBytes(sketches[0]);
+  const auto old_pages = PageCodec::SplitPayload(
+      before, sketches[0].num_cells(), TinyOptions().page_bytes);
+  const auto new_pages = PageCodec::SplitPayload(
+      after, sketches[0].num_cells(), TinyOptions().page_bytes);
+  ASSERT_EQ(old_pages.size(), new_pages.size());
+  int changed = 0;
+  for (size_t i = 0; i < old_pages.size(); ++i) {
+    changed += old_pages[i] != new_pages[i] ? 1 : 0;
+  }
+  ASSERT_GT(changed, 0);
+  ASSERT_LT(changed, static_cast<int>(kTinyPages));
+  ASSERT_TRUE(store->Put(0, sketches[0], &error)) << error;
+  fs.Reset();
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  EXPECT_EQ(fs.TotalSyncs(), changed);
+  EXPECT_EQ(fs.dir_syncs, 0);
+
+  // Interval 3: nothing written, nothing synced.
+  fs.Reset();
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  EXPECT_EQ(fs.TotalSyncs() + fs.dir_syncs, 0);
+}
+
+TEST_F(StoreTest, ReopenOverIntactLogSyncsNothingAndKeepsTheLog) {
+  std::string error;
+  std::vector<Ltc> sketches;
+  {
+    auto store =
+        SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    for (uint64_t t = 0; t < 3; ++t) {
+      sketches.push_back(SketchWithItems(TinyConfig(), 10 * t + 1, 30));
+      ASSERT_TRUE(store->Put(t, sketches[t], &error)) << error;
+    }
+  }
+  CountingFs fs;
+  auto reopened = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_EQ(reopened->recovery().records, 3u);
+  EXPECT_GT(reopened->recovery().deltas_applied, 0u);
+  EXPECT_GT(reopened->recovery().deltas_stale, 0u);
+  EXPECT_EQ(fs.TotalSyncs(), 0);
+  EXPECT_EQ(fs.dir_syncs, 0);
+  EXPECT_TRUE(fs.Exists((dir_ / "wal.log").string()));
+  for (uint64_t t = 0; t < 3; ++t) {
+    auto got = reopened->Get(t, &error);
+    ASSERT_TRUE(got.has_value()) << error;
+    EXPECT_EQ(SerializedBytes(*got), SerializedBytes(sketches[t]));
+  }
+
+  // The next checkpoint syncs every page the log named, replayed or
+  // stale, and the directory (their names may not be durable either).
+  ASSERT_TRUE(reopened->CheckpointDirty(&error)) << error;
+  EXPECT_EQ(fs.syncs.size(), 3 * kTinyPages);
+  EXPECT_EQ(fs.TotalSyncs(), static_cast<int>(3 * kTinyPages));
+  EXPECT_EQ(fs.dir_syncs, 1);
+  EXPECT_FALSE(fs.Exists((dir_ / "wal.log").string()));
+}
+
+TEST_F(StoreTest, FailedCheckpointSyncPoisonsAndKeepsTheLog) {
+  // kSyncError at every fsync a checkpoint issues: the checkpoint
+  // fails, the store refuses all later calls, the WAL survives, and a
+  // reopen serves every acked Put.
+  for (uint64_t offset = 0;; ++offset) {
+    SCOPED_TRACE("offset=" + std::to_string(offset));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    FailpointFs fs(SystemFs());
+    std::string error;
+    auto store = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    std::vector<std::string> acked;
+    for (uint64_t t = 0; t < 3; ++t) {
+      Ltc sketch = SketchWithItems(TinyConfig(), 10 * t + 1, 30);
+      ASSERT_TRUE(store->Put(t, sketch, &error)) << error;
+      acked.push_back(SerializedBytes(sketch));
+    }
+    fs.Arm(FailpointFs::Failure::kSyncError, fs.mutating_ops() + offset);
+    const bool ok = store->CheckpointDirty(&error);
+    if (!fs.fired()) {
+      // Past the checkpoint's last fsync: every one has been hit.
+      EXPECT_TRUE(ok) << error;
+      EXPECT_GT(offset, 3 * kTinyPages);
+      break;
+    }
+    EXPECT_FALSE(ok);
+    EXPECT_NE(error.find("cannot fsync"), std::string::npos) << error;
+    EXPECT_FALSE(store->Put(0, SketchWithItems(TinyConfig(), 5, 9), &error));
+    EXPECT_NE(error.find("poisoned"), std::string::npos) << error;
+    EXPECT_FALSE(store->CheckpointDirty(&error));
+    EXPECT_NE(error.find("poisoned"), std::string::npos) << error;
+    EXPECT_FALSE(store->Get(1, &error).has_value());
+    EXPECT_NE(error.find("poisoned"), std::string::npos) << error;
+    EXPECT_TRUE(SystemFs().Exists((dir_ / "wal.log").string()));
+    store.reset();
+
+    auto reopened =
+        SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(), &error);
+    ASSERT_NE(reopened, nullptr) << error;
+    for (uint64_t t = 0; t < 3; ++t) {
+      auto got = reopened->Get(t, &error);
+      ASSERT_TRUE(got.has_value()) << "tenant " << t << ": " << error;
+      EXPECT_EQ(SerializedBytes(*got), acked[t]) << "tenant " << t;
+    }
+  }
+}
+
+TEST_F(StoreTest, FailedWalAppendPoisonsRatherThanAppendBehindGarbage) {
+  FailpointFs fs(SystemFs());
+  std::string error;
+  auto store = SketchStore::Open(fs, dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(store, nullptr) << error;
+  Ltc sketch = SketchWithItems(TinyConfig(), 1, 30);
+  ASSERT_TRUE(store->Put(0, sketch, &error)) << error;
+  const std::string acked = SerializedBytes(sketch);
+  // No dirty frames left, so the next Put's first write is its append.
+  ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+
+  // A short append leaves a torn record at the tail. Appending the next
+  // record behind it would hide that record from recovery.
+  sketch.Insert(2);
+  fs.Arm(FailpointFs::Failure::kShortWrite, fs.mutating_ops(), /*seed=*/9);
+  EXPECT_FALSE(store->Put(0, sketch, &error));
+  EXPECT_FALSE(store->Put(1, SketchWithItems(TinyConfig(), 5, 9), &error));
+  EXPECT_NE(error.find("poisoned"), std::string::npos) << error;
+  store.reset();
+
+  auto reopened =
+      SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  EXPECT_TRUE(reopened->recovery().torn_tail);
+  // A torn tail is checkpointed away at once; appends then start clean.
+  EXPECT_FALSE(SystemFs().Exists((dir_ / "wal.log").string()));
+  auto got = reopened->Get(0, &error);
+  ASSERT_TRUE(got.has_value()) << error;
+  EXPECT_EQ(SerializedBytes(*got), acked);
+  ASSERT_TRUE(reopened->Put(1, SketchWithItems(TinyConfig(), 5, 9), &error))
+      << error;
+}
+
+#ifdef LTC_TRACING
+TEST_F(StoreTest, StoreSpansAreOnePerCall) {
+  telemetry::FlightRecorder recorder;
+  telemetry::FlightRecorder::Install(&recorder);
+  std::string error;
+  {
+    auto store =
+        SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(), &error);
+    ASSERT_NE(store, nullptr) << error;
+    ASSERT_TRUE(store->Put(0, SketchWithItems(TinyConfig(), 1, 30), &error));
+    ASSERT_TRUE(store->Put(1, SketchWithItems(TinyConfig(), 9, 30), &error));
+    ASSERT_TRUE(store->CheckpointDirty(&error)) << error;
+  }
+  auto reopened =
+      SketchStore::Open(SystemFs(), dir_.string(), TinyOptions(), &error);
+  ASSERT_NE(reopened, nullptr) << error;
+  telemetry::FlightRecorder::Install(nullptr);
+
+  const std::string json = recorder.DumpChromeJson();
+  auto count = [&](const std::string& name) {
+    const std::string key = "\"name\":\"" + name + "\"";
+    size_t spans = 0;
+    for (size_t at = json.find(key); at != std::string::npos;
+         at = json.find(key, at + 1)) {
+      ++spans;
+    }
+    return spans;
+  };
+  // One span per call, never one per page.
+  EXPECT_EQ(count("store.put"), 2u) << json;
+  EXPECT_EQ(count("store.checkpoint"), 1u) << json;
+  EXPECT_EQ(count("store.recover"), 2u) << json;
+  EXPECT_NE(json.find("\"pages\":"), std::string::npos) << json;
+}
+#endif  // LTC_TRACING
+
 TEST_F(StoreTest, GeometryChangeIsRejected) {
   std::string error;
   auto store = SketchStore::Open(SystemFs(), dir_.string(), {}, &error);
@@ -486,7 +788,7 @@ TEST_F(StoreTest, StoreMetricsAreExposed) {
         "ltc_store_corrupt_pages_total", "ltc_store_tenants",
         "ltc_store_frames_resident", "ltc_store_frames_dirty",
         "ltc_store_checkpoint_duration_usec",
-        "ltc_store_checkpoint_dirty_pages"}) {
+        "ltc_store_checkpoint_dirty_pages", "ltc_store_fsyncs_total"}) {
     EXPECT_NE(text.find(family), std::string::npos) << family;
   }
 }

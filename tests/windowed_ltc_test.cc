@@ -1,10 +1,13 @@
 // Tests for the jumping-window LTC extension.
 
+#include <cmath>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/serial.h"
 #include "core/windowed_ltc.h"
 
 namespace ltc {
@@ -16,6 +19,78 @@ LtcConfig WindowConfig(size_t memory = 8 * 1024) {
   config.period_mode = PeriodMode::kTimeBased;
   config.period_seconds = 1.0;
   return config;
+}
+
+// The answer the point queries must reproduce: a copy of the active
+// pane, Finalized, plus the previous pane's answer. The panes are read
+// back out of the window's serialized image (format v2: magic, version,
+// window periods, current pane, previous-live flag, last time, then the
+// active and previous panes).
+struct FinalizedPanes {
+  Ltc active;
+  Ltc previous;
+  bool previous_live;
+};
+
+FinalizedPanes ReadFinalizedPanes(const WindowedLtc& window) {
+  BinaryWriter writer;
+  window.Serialize(writer);
+  BinaryReader reader(writer.data());
+  reader.GetU32();  // magic
+  reader.GetU32();  // format version
+  reader.GetU32();  // window periods
+  reader.GetU64();  // current pane
+  const bool previous_live = reader.GetU8() != 0;
+  reader.GetDouble();  // last time
+  std::optional<Ltc> active = Ltc::Deserialize(reader);
+  std::optional<Ltc> previous = Ltc::Deserialize(reader);
+  EXPECT_TRUE(active.has_value() && previous.has_value() && reader.AtEnd());
+  active->Finalize();
+  return {std::move(*active), std::move(*previous), previous_live};
+}
+
+TEST(WindowedLtc, PointQueriesMatchFinalizedPaneCopy) {
+  for (bool eliminator : {true, false}) {
+    SCOPED_TRACE(eliminator ? "eliminator on" : "eliminator off");
+    LtcConfig config = WindowConfig(4 * 1024);
+    config.deviation_eliminator = eliminator;
+    WindowedLtc window(config, 4);  // panes of 2 periods
+    Rng rng(eliminator ? 7 : 8);
+    double time = 0.0;
+    int checks = 0;
+    for (int i = 0; i < 30000; ++i) {
+      // Mostly small steps; now and then a jump to exactly the next
+      // period boundary, which is a pane boundary every other time.
+      const bool to_boundary = rng.Bernoulli(0.002);
+      time = to_boundary ? std::floor(time) + 1.0
+                         : time + rng.UniformDouble() * 0.004;
+      // A skewed mix: a few heavy items, a long tail.
+      const ItemId item = rng.Bernoulli(0.3) ? rng.UniformRange(1, 8)
+                                             : rng.UniformRange(9, 400);
+      window.Insert(item, time);
+      if (!to_boundary && i % 211 != 0) continue;
+      ++checks;
+      const FinalizedPanes panes = ReadFinalizedPanes(window);
+      for (ItemId probe = 0; probe <= 420; ++probe) {
+        double significance = panes.active.QuerySignificance(probe);
+        uint64_t frequency = panes.active.EstimateFrequency(probe);
+        uint64_t persistency = panes.active.EstimatePersistency(probe);
+        if (panes.previous_live) {
+          significance += panes.previous.QuerySignificance(probe);
+          frequency += panes.previous.EstimateFrequency(probe);
+          persistency += panes.previous.EstimatePersistency(probe);
+        }
+        ASSERT_EQ(window.QuerySignificance(probe), significance)
+            << "item " << probe << " at t=" << time;
+        ASSERT_EQ(window.EstimateFrequency(probe), frequency)
+            << "item " << probe << " at t=" << time;
+        ASSERT_EQ(window.EstimatePersistency(probe), persistency)
+            << "item " << probe << " at t=" << time;
+      }
+    }
+    EXPECT_GT(checks, 150);
+    EXPECT_GT(window.current_pane(), 10u) << "too few pane rotations";
+  }
 }
 
 TEST(WindowedLtc, GeometryAndBudget) {

@@ -65,6 +65,7 @@ ltc_store_evictions_total
 ltc_store_wal_records_total
 ltc_store_wal_bytes_total
 ltc_store_checkpoints_total
+ltc_store_fsyncs_total
 ltc_store_replay_deltas_total
 ltc_store_replay_torn_tails_total
 ltc_store_corrupt_pages_total
